@@ -4,11 +4,18 @@ Positions are 1-based, numbered row-major: position m sits on runner
 ``(m-1) % p + 1`` in row ``(m-1) // p + 1``.  A display with r beads encodes
 the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
+
+Each display sorts its beads into per-runner rows once, when it is built.
+Those rows, with the display methods that read them, are the only place the
+position <-> (runner, row) arithmetic lives: bead counts, the p-core, the
+quotient, the pyramid and the normal beads are all read off the rows, and
+code outside this module asks the display instead of computing runners or
+rows itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .partitions import (
@@ -16,7 +23,7 @@ from .partitions import (
     Partition,
     is_p_regular,
     is_p_restricted,
-    partition,
+    is_prime,
 )
 
 
@@ -26,32 +33,63 @@ def default_bead_count(la: Partition, p: int) -> int:
 
 
 def _decode_betas(betas, r: int) -> Partition:
-    ordered = sorted(betas, reverse=True)
-    return partition(b - r + i for i, b in enumerate(ordered))
+    """Parts of the r-bead display ``betas``; a partition by construction."""
+    parts = (b - r + i for i, b in enumerate(sorted(betas, reverse=True)))
+    return tuple(part for part in parts if part)
 
 
 @dataclass(frozen=True)
 class AbacusDisplay:
-    """An immutable set of r occupied positions on p runners."""
+    """An immutable set of r occupied positions on p runners.
+
+    ``rows[j-1]`` lists, ascending, the rows of the beads on runner j.
+    """
 
     p: int
     r: int
     occupied: frozenset[int]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be at least 2")
         if len(self.occupied) != self.r:
             raise ValueError(f"expected {self.r} beads, got {len(self.occupied)}")
-        if self.occupied and min(self.occupied) < 1:
+        ordered = sorted(self.occupied)
+        if ordered and ordered[0] < 1:
             raise ValueError("positions are 1-based")
+        rows = [[] for _ in range(self.p)]
+        for m in ordered:
+            rows[(m - 1) % self.p].append((m - 1) // self.p + 1)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        padded = la + (0,) * (r - len(la))
-        return cls(p, r, frozenset(padded[i - 1] + r - i + 1 for i in range(1, r + 1)))
+        # Beads 1..r-k carry the zero parts; the parts, read bottom-up, must
+        # give strictly increasing beta-numbers.
+        k = len(la)
+        betas = list(range(1, r - k + 1))
+        below = r - k
+        for i in range(k - 1, -1, -1):
+            beta = la[i] + r - i
+            if beta <= below:
+                raise ValueError(f"{la} is not a partition")
+            betas.append(beta)
+            below = beta
+        return cls(p, r, frozenset(betas))
+
+    @classmethod
+    def from_runners(cls, p: int, counts, components) -> "AbacusDisplay":
+        """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
+        occupied = set()
+        for j, (c, kappa) in enumerate(zip(counts, components, strict=True), start=1):
+            if len(kappa) > c:
+                raise ValueError(f"component {kappa} needs more than {c} beads on runner {j}")
+            padded = tuple(kappa) + (0,) * (c - len(kappa))
+            occupied.update((padded[t - 1] + c - t) * p + j for t in range(1, c + 1))
+        return cls(p, sum(counts), frozenset(occupied))
 
     def to_partition(self) -> Partition:
         return _decode_betas(self.occupied, self.r)
@@ -59,11 +97,27 @@ class AbacusDisplay:
     def runner(self, pos: int) -> int:
         return (pos - 1) % self.p + 1
 
-    def row(self, pos: int) -> int:
-        return (pos - 1) // self.p + 1
-
     def beads_on_runner(self, i: int) -> list[int]:
-        return sorted(m for m in self.occupied if self.runner(m) == i)
+        return [(t - 1) * self.p + i for t in self.rows[i - 1]]
+
+    # -- runner-level data ----------------------------------------------------
+
+    def counts(self) -> tuple[int, ...]:
+        """Beads per runner, left to right."""
+        return tuple(map(len, self.rows))
+
+    def components(self) -> tuple[Partition, ...]:
+        """Bead weights per runner, bottom bead first: the left-to-right quotient."""
+        comps = []
+        for rows in self.rows:
+            weights = [t - s for s, t in enumerate(rows, start=1)]
+            comps.append(tuple(w for w in reversed(weights) if w))
+        return tuple(comps)
+
+    def core(self) -> Partition:
+        """The p-core: every runner's beads pushed up into its top rows."""
+        return _decode_betas([(t - 1) * self.p + j for j, c in enumerate(self.counts(), start=1)
+                              for t in range(1, c + 1)], self.r)
 
     # -- bead moves (each returns a new display) -----------------------------
 
@@ -78,17 +132,9 @@ class AbacusDisplay:
         """Move a bead to the empty position before it (removes a node)."""
         return self._move(pos, pos - 1)
 
-    def push_right(self, pos: int) -> "AbacusDisplay":
-        """Move a bead to the empty position after it (adds a node)."""
-        return self._move(pos, pos + 1)
-
     def push_up(self, pos: int) -> "AbacusDisplay":
         """Move a bead one row up its runner (removes a rim p-hook)."""
         return self._move(pos, pos - self.p)
-
-    def push_down(self, pos: int) -> "AbacusDisplay":
-        """Move a bead one row down its runner (adds a rim p-hook)."""
-        return self._move(pos, pos + self.p)
 
     # -- bead classification --------------------------------------------------
 
@@ -103,11 +149,9 @@ class AbacusDisplay:
         return sorted(m for m in self.occupied
                       if m - self.p >= 1 and m - self.p not in self.occupied)
 
-    def _count(self, runner: int, row_lo: int, row_hi: int) -> int:
-        if row_hi < row_lo:
-            return 0
-        return sum(1 for row in range(row_lo, row_hi + 1)
-                   if (row - 1) * self.p + runner in self.occupied)
+    def leg_length(self, pos: int) -> int:
+        """Leg length of the rim p-hook removed by ``push_up(pos)``: beads strictly between."""
+        return sum(1 for b in self.occupied if pos - self.p < b < pos)
 
     def normal_beads(self) -> list[int]:
         """Removable beads passing the runner-count criterion.
@@ -115,23 +159,23 @@ class AbacusDisplay:
         A removable bead in row t of runner i >= 2 is normal when, for every
         j >= 1, runner i carries at least as many beads in rows t+1..t+j as
         runner i-1 does.  On runner 1 the comparison is against runner p with
-        the window shifted up one row (rows t..t+j-1).
+        the window shifted up one row (rows t..t+j-1).  As prefix counts: the
+        k-th bead below row t on runner i sits no lower than the k-th on the
+        compared runner, for every k up to the compared runner's count.
         """
-        if not self.occupied:
-            return []
-        max_row = self.row(max(self.occupied))
         normals = []
-        for m in self.removable_beads():
-            i, t = self.runner(m), self.row(m)
-            if i >= 2:
-                ok = all(self._count(i, t + 1, t + j) >= self._count(i - 1, t + 1, t + j)
-                         for j in range(1, max_row - t + 2))
-            else:
-                ok = all(self._count(1, t + 1, t + j) >= self._count(self.p, t, t + j - 1)
-                         for j in range(1, max_row - t + 3))
-            if ok:
-                normals.append(m)
-        return normals
+        for i, mine in enumerate(self.rows, start=1):
+            # Rows of the compared runner, level with runner i.  For runner 1,
+            # row 1 stands for position 0, where no bead can move.
+            left = self.rows[i - 2] if i > 1 else (1,) + tuple(t + 1 for t in self.rows[-1])
+            for t in mine:
+                if t in left:
+                    continue  # not removable
+                below = [u for u in mine if u > t]
+                rival = [u for u in left if u > t]
+                if len(below) >= len(rival) and all(a <= b for a, b in zip(below, rival)):
+                    normals.append((t - 1) * self.p + i)
+        return sorted(normals)
 
     def bead_node(self, pos: int) -> Node:
         """The node of the decoded partition carried by the bead at ``pos``."""
@@ -145,12 +189,10 @@ class AbacusDisplay:
     def render(self, labels=None) -> str:
         """Text grid in the style of an abacus figure: runner header, then rows."""
         labels = labels or list(range(1, self.p + 1))
-        rows = self.row(max(self.occupied)) + 1 if self.occupied else 2
+        height = max((rows[-1] for rows in self.rows if rows), default=1) + 1
         lines = [" ".join(str(lab) for lab in labels), "-" * (2 * self.p - 1)]
-        for t in range(1, rows + 1):
-            cells = ["●" if (t - 1) * self.p + j in self.occupied else "○"
-                     for j in range(1, self.p + 1)]
-            lines.append(" ".join(cells))
+        for t in range(1, height + 1):
+            lines.append(" ".join("●" if t in rows else "○" for rows in self.rows))
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
@@ -202,28 +244,8 @@ class Pyramid:
         return tuple(labels)
 
 
-def _runner_components(display: AbacusDisplay) -> tuple[Partition, ...]:
-    """Bead weights per runner, bottom bead first (no constraint on the bead count)."""
-    comps = []
-    for j in range(1, display.p + 1):
-        rows = [display.row(m) for m in display.beads_on_runner(j)]
-        weights = [row - 1 - s for s, row in enumerate(rows)]
-        comps.append(partition(sorted(weights, reverse=True)))
-    return tuple(comps)
-
-
-def push_all_up(display: AbacusDisplay) -> AbacusDisplay:
-    """The display of the p-core: every runner's beads packed into the top rows."""
-    occupied = set()
-    for j in range(1, display.p + 1):
-        count = len(display.beads_on_runner(j))
-        occupied.update((t - 1) * display.p + j for t in range(1, count + 1))
-    return AbacusDisplay(display.p, display.r, frozenset(occupied))
-
-
 def p_core(la: Partition, p: int) -> Partition:
-    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
-    return push_all_up(display).to_partition()
+    return AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).core()
 
 
 def p_weight(la: Partition, p: int) -> int:
@@ -236,23 +258,22 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
     Entries are ordered by the hook's hand, topmost hand first.  The leg
     length is the number of beta-numbers strictly between beta - p and beta.
     """
-    r = default_bead_count(la, p)
-    display = AbacusDisplay.from_partition(la, p, r)
-    out = []
-    for m in sorted(display.rim_hook_beads(), reverse=True):
-        leg = sum(1 for b in display.occupied if m - p < b < m)
-        out.append((display.push_up(m).to_partition(), leg))
-    return out
+    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
+    return [(display.push_up(m).to_partition(), display.leg_length(m))
+            for m in reversed(display.rim_hook_beads())]
 
 
-def p_quotient(la: Partition, p: int, r: int | None = None) -> PQuotient:
-    """Left-to-right p-quotient; the bead count must be a multiple of p."""
+def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:
     if r is None:
         r = default_bead_count(la, p)
     if r % p != 0:
         raise ValueError(f"bead count {r} is not a multiple of {p}")
-    display = AbacusDisplay.from_partition(la, p, r)
-    return PQuotient(_runner_components(display), "left-to-right")
+    return AbacusDisplay.from_partition(la, p, r)
+
+
+def p_quotient(la: Partition, p: int, r: int | None = None) -> PQuotient:
+    """Left-to-right p-quotient; the bead count must be a multiple of p."""
+    return PQuotient(_quotient_display(la, p, r).components(), "left-to-right")
 
 
 def reordered_quotient(la: Partition, p: int, r: int | None = None) -> tuple[PQuotient, Pyramid]:
@@ -262,20 +283,11 @@ def reordered_quotient(la: Partition, p: int, r: int | None = None) -> tuple[PQu
     pushed-up display come in ascending order; component j of the reordered
     quotient is the left-to-right component of the runner with label j.
     """
-    if r is None:
-        r = default_bead_count(la, p)
-    if r % p != 0:
-        raise ValueError(f"bead count {r} is not a multiple of {p}")
-    display = AbacusDisplay.from_partition(la, p, r)
-    core_display = push_all_up(display)
-    first_empty = []
-    for j in range(1, p + 1):
-        count = len(core_display.beads_on_runner(j))
-        first_empty.append((count * p + j, j))
-    first_empty.sort()
+    display = _quotient_display(la, p, r)
+    first_empty = sorted((c * p + j, j) for j, c in enumerate(display.counts(), start=1))
     q = tuple(pos for pos, _ in first_empty)
     sigma = tuple(runner for _, runner in first_empty)
-    ltr = _runner_components(display)
+    ltr = display.components()
     reordered = PQuotient(tuple(ltr[runner - 1] for runner in sigma), "reordered")
     return reordered, Pyramid(p, q, sigma)
 
@@ -289,7 +301,7 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
     regular (both recursively passing), and the first row of mu_k plus the
     first column of mu_ell never exceeds B(k, ell) + 1.
     """
-    if p < 3 or p % 2 == 0:
+    if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
     if p_weight(la, p) == 0:
         return True

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .abacus import (
-    AbacusDisplay,
-    _runner_components,
-    is_jm_fayers,
-    p_core,
-    p_weight,
-)
+from .abacus import AbacusDisplay, default_bead_count, is_jm_fayers, p_core
 from .partitions import (
     Partition,
     add_node,
@@ -30,23 +24,13 @@ from .partitions import (
     is_hook,
     is_p_regular,
     is_p_restricted,
+    is_prime,
     normal_nodes,
     partition,
     partitions_of,
     removable_nodes,
     residue,
 )
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def require_block_prime(p: int) -> None:
@@ -141,14 +125,6 @@ def parse_notation(text: str, weight: int) -> BeadNotation:
     return BeadNotation(weight, tuple(int(x) for x in m.group(1).split(",")))
 
 
-def core_counts(core: Partition, p: int, r: int) -> tuple[int, ...]:
-    """Per-runner bead counts of the r-bead display of a p-core."""
-    if p_core(core, p) != core:
-        raise ValueError(f"{core} is not a {p}-core")
-    display = AbacusDisplay.from_partition(core, p, r)
-    return tuple(len(display.beads_on_runner(j)) for j in range(1, p + 1))
-
-
 def counts_42(p: int, i: int) -> tuple[int, ...]:
     """Bead counts <3^(i-2), 4, 2, 3^(p-i)> of the 3p-bead display for B_i."""
     if not 2 <= i <= p:
@@ -163,34 +139,21 @@ def counts_223(p: int, s: int) -> tuple[int, ...]:
     return (2,) + (3,) * (p - s) + (2,) * (s - 2) + (3,)
 
 
-def _from_runner_components(components, p: int, counts) -> Partition:
-    r = sum(counts)
-    occupied = set()
-    for j in range(1, p + 1):
-        c = counts[j - 1]
-        kappa = tuple(components[j - 1]) if j - 1 < len(components) else ()
-        if len(kappa) > c:
-            raise ValueError(f"component {kappa} needs more than {c} beads on runner {j}")
-        padded = kappa + (0,) * (c - len(kappa))
-        occupied.update((padded[t - 1] + c - t) * p + j for t in range(1, c + 1))
-    return AbacusDisplay(p, r, frozenset(occupied)).to_partition()
-
-
 def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     """The partition named by a placement on the display with the given bead counts."""
     if any(r > p for r in nota.runners):
         raise ValueError(f"runner out of range in {nota} for p={p}")
     comps = nota.components()
-    return _from_runner_components([comps.get(j, ()) for j in range(1, p + 1)], p, counts)
+    display = AbacusDisplay.from_runners(p, counts, [comps.get(j, ()) for j in range(1, p + 1)])
+    return display.to_partition()
 
 
 def encode_notation(la: Partition, p: int, counts) -> BeadNotation:
     """Name a partition on the display with the given bead counts."""
     display = AbacusDisplay.from_partition(la, p, sum(counts))
-    actual = tuple(len(display.beads_on_runner(j)) for j in range(1, p + 1))
-    if actual != tuple(counts):
-        raise ValueError(f"{la} has bead counts {actual}, expected {tuple(counts)}")
-    comps = _runner_components(display)
+    if display.counts() != tuple(counts):
+        raise ValueError(f"{la} has bead counts {display.counts()}, expected {tuple(counts)}")
+    comps = display.components()
     weight = sum(sum(c) for c in comps)
     return BeadNotation.from_components(weight, {j + 1: c for j, c in enumerate(comps)})
 
@@ -235,10 +198,6 @@ def restriction_block(p: int, i: int) -> BlockLabel:
     return defect1_block(p) if i == 1 else defect2_block(p, i)
 
 
-def block_of(la: Partition, p: int) -> BlockLabel:
-    return BlockLabel(p, p_core(la, p), p_weight(la, p))
-
-
 def in_block(la: Partition, label: BlockLabel) -> bool:
     return sum(la) == label.n and p_core(la, label.p) == label.core
 
@@ -259,14 +218,16 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     """All partitions with the label's core and weight, descending lex.
 
     Generated constructively from tuples of runner components; the bead count
-    grows until every runner can hold a full-weight component.
+    grows (p beads at a time, one more per runner) until every runner can hold
+    a full-weight component.
     """
     p = label.p
-    r = p * max(1, -(-len(label.core) // p))
-    while min(core_counts(label.core, p, r)) < label.weight:
-        r += p
-    counts = core_counts(label.core, p, r)
-    out = [_from_runner_components(comps, p, counts)
+    display = AbacusDisplay.from_partition(label.core, p, default_bead_count(label.core, p))
+    if any(display.components()):
+        raise ValueError(f"{label.core} is not a {p}-core")
+    extra = max(0, label.weight - min(display.counts()))
+    counts = tuple(c + extra for c in display.counts())
+    out = [AbacusDisplay.from_runners(p, counts, comps).to_partition()
            for comps in _component_tuples(p, label.weight)]
     if len(set(out)) != len(out):
         raise RuntimeError(f"component tuples collided for {label}")
@@ -330,7 +291,8 @@ def theta(la: Partition, p: int, i: int) -> Partition:
     if not 1 <= i <= p:
         raise ValueError(f"runner {i} out of range for p={p}")
     display = _display_3p(la, p)
-    beads = [m for m in display.removable_beads() if display.runner(m) == i]
+    removable = display.removable_beads()
+    beads = [m for m in display.beads_on_runner(i) if m in removable]
     if not beads:
         raise ValueError(f"{la} has no removable bead on runner {i}")
     if len(beads) > 1:
@@ -375,7 +337,7 @@ def in_lambda_set(la: Partition, p: int, i: int) -> bool:
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
     display = _display_3p(la, p)
-    return any(display.runner(m) == i for m in display.normal_beads())
+    return not set(display.beads_on_runner(i)).isdisjoint(display.normal_beads())
 
 
 def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:

@@ -18,6 +18,7 @@ from .partitions import (
     is_hook,
     is_p_regular,
     is_p_restricted,
+    is_prime,
     normal_nodes,
     parse_partition,
     removable_nodes,
@@ -32,7 +33,7 @@ def _prime_arg(text: str) -> int:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}")
-    if not blocks.is_prime(p) or p < 5:
+    if not is_prime(p) or p < 5:
         raise argparse.ArgumentTypeError(
             f"p={p} rejected: the block theory here assumes odd characteristic at least 5")
     return p

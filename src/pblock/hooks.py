@@ -18,12 +18,6 @@ def p_adic_valuation(h: int, p: int) -> int:
     return e
 
 
-def hook_length(la: Partition, node) -> int:
-    row, col = node
-    conj = conjugate(la)
-    return la[row - 1] - row + conj[col - 1] - col + 1
-
-
 def hook_lengths(la: Partition) -> Diagram:
     """Tableau of shape ``la`` whose (i, j) entry is the (i, j)-hook length."""
     conj = conjugate(la)

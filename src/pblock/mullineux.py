@@ -21,6 +21,7 @@ from .partitions import (
     Partition,
     good_nodes,
     is_p_regular,
+    is_prime,
     partition,
     remove_node,
     residue,
@@ -90,6 +91,8 @@ class MullineuxSymbol:
 @cache
 def mullineux_symbol(la: Partition, p: int) -> MullineuxSymbol:
     """Strip p-rims down to the empty partition, recording sizes and row counts."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
     sizes, rows = [], []
@@ -175,16 +178,15 @@ def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) ->
     highest; passing an rng picks uniformly instead, which is useful for
     checking order-independence.
     """
-    betas = set(AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).occupied)
+    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
     total = 0
     while True:
-        movable = sorted(m for m in betas if m - p >= 1 and m - p not in betas)
+        movable = display.rim_hook_beads()
         if not movable:
             return total
-        m = max(movable) if rng is None else rng.choice(movable)
-        total += sum(1 for b in betas if m - p < b < m)
-        betas.remove(m)
-        betas.add(m - p)
+        m = movable[-1] if rng is None else rng.choice(movable)
+        total += display.leg_length(m)
+        display = display.push_up(m)
 
 
 def parity(la: Partition, p: int) -> int:

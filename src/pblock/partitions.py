@@ -7,6 +7,7 @@ empty tuple is the empty partition of 0.  Nodes of the Young diagram are
 
 from __future__ import annotations
 
+import operator
 from itertools import groupby
 from typing import Iterator
 
@@ -14,9 +15,29 @@ Partition = tuple[int, ...]
 Node = tuple[int, int]
 
 
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _part(x) -> int:
+    if isinstance(x, bool):
+        raise ValueError(f"part {x!r} is a boolean, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"part {x!r} is not an integer") from None
+
+
 def partition(parts) -> Partition:
-    """Canonicalize an iterable of parts: drop trailing zeros, validate shape."""
-    p = tuple(int(x) for x in parts)
+    """Canonicalize an iterable of integer parts: drop trailing zeros, validate shape."""
+    p = tuple(map(_part, parts))
     while p and p[-1] == 0:
         p = p[:-1]
     if p and p[-1] < 0:

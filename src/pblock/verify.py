@@ -10,9 +10,10 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .abacus import AbacusDisplay, is_jm_fayers
+from .abacus import AbacusDisplay, is_jm_fayers, p_weight
 from .blocks import (
     BeadNotation,
+    classify_3p,
     counts_42,
     counts_223,
     decode_notation,
@@ -30,7 +31,6 @@ from .blocks import (
     tau_p,
     theta,
 )
-from .abacus import p_weight
 from .hooks import is_jm_direct
 from .mullineux import (
     MullineuxSymbol,
@@ -104,8 +104,6 @@ def _both(flagged: dict) -> bool:
 
 
 def check_prop31(p: int) -> str:
-    from .blocks import classify_3p
-
     block = enumerate_block(principal_block(p))
     flags = {la: classify_3p(la, p) for la in block}
     both = {la for la in block if _both(flags[la])}
@@ -217,8 +215,6 @@ def check_prop212(p: int) -> str:
 
 
 def check_lemma34(p: int) -> str:
-    from .blocks import classify_3p
-
     exceptional = from_3p(_N3(1, 2), p)
     checked = 0
     for la in enumerate_block(principal_block(p)):
@@ -311,8 +307,10 @@ def check_theta_table(p: int) -> str:
     # not enough: pushing it can erase the repeated part.
     for la in block:
         display = AbacusDisplay.from_partition(la, p, 3 * p)
-        for m in display.normal_beads():
-            i = display.runner(m)
+        normals = set(display.normal_beads())
+        for i in range(1, p + 1):
+            if normals.isdisjoint(display.beads_on_runner(i)):
+                continue
             if is_p_regular(la, p) != is_p_regular(theta(la, p, i), p):
                 _fail(la, f"regularity flips under restriction to B_{i}")
     return "restriction table, monotonicity and regularity preservation hold"
@@ -355,8 +353,6 @@ def check_partner_counts(p: int) -> str:
 
 
 def check_loewy_partition(p: int) -> str:
-    from .blocks import classify_3p
-
     families = loewy2_families(p)
     family_list = list(families.values())
     for a in range(len(family_list)):

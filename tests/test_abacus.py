@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, push_all_up
+from pblock.abacus import AbacusDisplay
 from conftest import all_partitions_up_to, partitions
 
 
@@ -65,6 +65,16 @@ def test_empty_partition_display():
 def test_bead_count_too_small_rejected():
     with pytest.raises(ValueError):
         AbacusDisplay.from_partition((2, 1, 1), 5, 2)
+
+
+@pytest.mark.parametrize("bad", [(3, 5), (5, 6), (3, 0, 1), (2, -1)])
+def test_non_partitions_rejected(bad):
+    with pytest.raises(ValueError, match="is not a partition"):
+        AbacusDisplay.from_partition(bad, 5, 5)
+    with pytest.raises(ValueError, match="is not a partition"):
+        pb.p_core(bad, 5)
+    with pytest.raises(ValueError, match="is not a partition"):
+        pb.is_jm_fayers(bad, 5)
 
 
 @given(partitions(), st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=9))
@@ -183,8 +193,8 @@ def test_representation_independence_under_extra_beads():
         for la in all_partitions_up_to(16):
             r = pb.default_bead_count(la, p)
             assert pb.p_quotient(la, p, r).components == pb.p_quotient(la, p, r + p).components
-            small = push_all_up(AbacusDisplay.from_partition(la, p, r)).to_partition()
-            big = push_all_up(AbacusDisplay.from_partition(la, p, r + p)).to_partition()
+            small = AbacusDisplay.from_partition(la, p, r).core()
+            big = AbacusDisplay.from_partition(la, p, r + p).core()
             assert small == big == pb.p_core(la, p)
 
 
@@ -213,11 +223,14 @@ def test_normal_beads_worked_examples():
 
 
 def test_normal_beads_match_normal_nodes_exhaustive():
-    for p in (5, 7):
-        for la in all_partitions_up_to(14):
-            display = AbacusDisplay.from_partition(la, p, pb.default_bead_count(la, p))
-            from_beads = {display.bead_node(m) for m in display.normal_beads()}
-            assert from_beads == set(pb.normal_nodes(la, p))
+    cases = [(la, p, pb.default_bead_count(la, p))
+             for p in (5, 7) for la in all_partitions_up_to(14)]
+    # The 3p-bead displays of the principal block at p = 11 (n = 33).
+    cases += [(la, 11, 33) for la in pb.enumerate_block(pb.principal_block(11))]
+    for la, p, r in cases:
+        display = AbacusDisplay.from_partition(la, p, r)
+        from_beads = {display.bead_node(m) for m in display.normal_beads()}
+        assert from_beads == set(pb.normal_nodes(la, p))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +245,9 @@ def test_jm_fayers_examples():
         assert pb.is_jm_fayers(la, 5)
     with pytest.raises(ValueError):
         pb.is_jm_fayers((3, 1), 4)
+    for not_prime in (9, 15, 1):
+        with pytest.raises(ValueError):
+            pb.is_jm_fayers((5, 4), not_prime)
 
 
 def test_jm_oracles_agree_small():

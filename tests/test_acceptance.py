@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, push_all_up
+from pblock.abacus import AbacusDisplay
 from pblock.blocks import BeadNotation
 from pblock.mullineux import rim_hook_leg_sum
 from pblock.verify import run_checks
@@ -169,6 +169,6 @@ def test_criterion_10_abacus_node_equivalences():
                 assert ({display.bead_node(m) for m in display.normal_beads()}
                         == set(pb.normal_nodes(la, p)))
                 bigger = AbacusDisplay.from_partition(la, p, r + p)
-                assert push_all_up(bigger).to_partition() == pb.p_core(la, p)
+                assert bigger.core() == pb.p_core(la, p)
                 assert (sorted(pb.p_quotient(la, p, r + p).components)
                         == sorted(pb.p_quotient(la, p, r).components))

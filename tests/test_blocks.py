@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pblock as pb
 from pblock.blocks import (
     BeadNotation,
-    core_counts,
     counts_42,
     counts_223,
     loewy2_families,
@@ -62,12 +63,40 @@ def test_notation_roundtrip_whole_block():
             assert pb.from_3p(pb.to_3p(la, p), p) == la
 
 
+PRIMES_5_TO_31 = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def placements(draw, weight):
+    """A prime p in 5..31 and a weight-``weight`` placement on p runners."""
+    p = draw(st.sampled_from(PRIMES_5_TO_31))
+    k = draw(st.integers(min_value=1, max_value=weight))
+    runners = draw(st.lists(st.integers(min_value=1, max_value=p), min_size=k, max_size=k))
+    return p, BeadNotation(weight, tuple(runners))
+
+
+@given(placements(3))
+@settings(max_examples=200)
+def test_from_3p_then_to_3p_is_identity(case):
+    p, nota = case
+    assert pb.to_3p(pb.from_3p(nota, p), p) == nota
+
+
+@given(placements(2), st.data())
+@settings(max_examples=200)
+def test_decode_then_encode_is_identity_on_weight_2(case, data):
+    p, nota = case
+    counts = counts_42(p, data.draw(st.integers(min_value=2, max_value=p)))
+    assert pb.encode_notation(pb.decode_notation(nota, p, counts), p, counts) == nota
+
+
 def test_defect2_counts_match_core_displays():
     for p in (5, 7):
         for i in range(2, p + 1):
             core = pb.defect2_block(p, i).core
-            assert counts_42(p, i) == core_counts(core, p, 3 * p)
-            assert counts_223(p, i) == core_counts(core, p, 3 * p - i + 1)
+            assert pb.p_core(core, p) == core
+            for counts, r in ((counts_42(p, i), 3 * p), (counts_223(p, i), 3 * p - i + 1)):
+                assert counts == pb.AbacusDisplay.from_partition(core, p, r).counts()
 
 
 def test_require_block_prime():

@@ -84,6 +84,14 @@ def test_mullineux_rejects_singular():
         pb.mullineux((2, 2, 2, 2, 2), 5)
 
 
+@pytest.mark.parametrize("not_prime", [4, 9, 1])
+def test_mullineux_rejects_non_prime_p(not_prime):
+    with pytest.raises(ValueError):
+        pb.mullineux((5, 4), not_prime)
+    with pytest.raises(ValueError):
+        pb.mullineux_symbol((5, 4), not_prime)
+
+
 def test_mullineux_involution_small_exhaustive():
     for p in (5, 7):
         for la in all_partitions_up_to(14):

@@ -58,6 +58,12 @@ def test_partition_rejects_bad_shapes(bad):
         pb.partition(bad)
 
 
+@pytest.mark.parametrize("bad", [[3.7, 2], [3.0], (True,), [2, False], ["3"]])
+def test_partition_rejects_non_integer_parts(bad):
+    with pytest.raises(ValueError, match="integer"):
+        pb.partition(bad)
+
+
 def test_parse_and_format():
     assert pb.parse_partition("6,4,2,2,1,1") == (6, 4, 2, 2, 1, 1)
     assert pb.parse_partition("") == ()
