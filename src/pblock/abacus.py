@@ -21,6 +21,7 @@ from functools import cache
 from .partitions import (
     Node,
     Partition,
+    _part,
     is_p_regular,
     is_p_restricted,
     is_prime,
@@ -73,7 +74,10 @@ class AbacusDisplay:
         betas = list(range(1, r - k + 1))
         below = r - k
         for i in range(k - 1, -1, -1):
-            beta = la[i] + r - i
+            try:
+                beta = _part(la[i]) + r - i
+            except ValueError as exc:
+                raise ValueError(f"{la} is not a partition: {exc}") from None
             if beta <= below:
                 raise ValueError(f"{la} is not a partition")
             betas.append(beta)
@@ -261,6 +265,20 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
     display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
     return [(display.push_up(m).to_partition(), display.leg_length(m))
             for m in reversed(display.rim_hook_beads())]
+
+
+def _rim_hook_leg_sum(la: Partition, p: int, rng) -> int:
+    """``mullineux.rim_hook_leg_sum``, walked in place on a set of beta-numbers."""
+    betas = set(AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).occupied)
+    total = 0
+    while True:
+        movable = sorted(m for m in betas if m > p and m - p not in betas)
+        if not movable:
+            return total
+        m = movable[-1] if rng is None else rng.choice(movable)
+        total += sum(1 for b in betas if m - p < b < m)
+        betas.remove(m)
+        betas.add(m - p)
 
 
 def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:

@@ -5,6 +5,8 @@ Partitions of 3p with empty p-core form the principal block; a partition of
 and one with core (p, 1^(p-1)) in the weight-1 block B_1.  On an abacus display
 whose pushed-up bead counts are fixed, such a partition is named by the runners
 carrying its displaced bead weights, written <i>, <i,j> or <i,j,k>.
+Principal-block membership is read off the runner counts of the 3p-bead
+display: the p-core is empty exactly when every runner carries three beads.
 """
 
 from __future__ import annotations
@@ -74,47 +76,22 @@ class BeadNotation:
 
     def components(self) -> dict[int, Partition]:
         """Displaced bead weights per runner, as partition columns."""
-        rs = self.runners
-        if len(rs) == 1:
-            return {rs[0]: (self.weight,)}
-        if self.weight == 3 and len(rs) == 2:
-            i, j = rs
-            return {i: (2, 1)} if i == j else {i: (2,), j: (1,)}
-        counts: dict[int, int] = {}
-        for r in rs:
-            counts[r] = counts.get(r, 0) + 1
-        return {r: (1,) * c for r, c in counts.items()}
+        comps: dict[int, Partition] = {}
+        for r, w in zip(self.runners, _bead_weights(self.weight, len(self.runners))):
+            comps[r] = comps.get(r, ()) + (w,)
+        return comps
 
     @classmethod
     def from_components(cls, weight: int, components: dict[int, Partition]) -> "BeadNotation":
-        comps = {r: tuple(c) for r, c in components.items() if c}
-        shapes = sorted(comps.values())
-        if shapes == [(weight,)]:
-            return cls(weight, (next(iter(comps)),))
-        if weight == 2:
-            if shapes == [(1, 1)]:
-                (i,) = comps
-                return cls(2, (i, i))
-            if shapes == [(1,), (1,)]:
-                return cls(2, tuple(comps))
-        if weight == 3:
-            if shapes == [(2, 1)]:
-                (i,) = comps
-                return cls(3, (i, i))
-            if shapes == [(1,), (2,)]:
-                two = next(r for r, c in comps.items() if c == (2,))
-                one = next(r for r, c in comps.items() if c == (1,))
-                return cls(3, (two, one))
-            if shapes == [(1, 1, 1)]:
-                (i,) = comps
-                return cls(3, (i, i, i))
-            if shapes == [(1,), (1, 1)]:
-                double = next(r for r, c in comps.items() if c == (1, 1))
-                single = next(r for r, c in comps.items() if c == (1,))
-                return cls(3, (double, double, single))
-            if shapes == [(1,), (1,), (1,)]:
-                return cls(3, tuple(comps))
-        raise ValueError(f"components {comps} do not fit a weight-{weight} placement")
+        beads = sorted(((w, r) for r, c in components.items() for w in c), reverse=True)
+        if tuple(w for w, _ in beads) != _bead_weights(weight, len(beads)):
+            raise ValueError(f"components {components} do not fit a weight-{weight} placement")
+        return cls(weight, tuple(r for _, r in beads))
+
+
+def _bead_weights(weight: int, k: int) -> tuple[int, ...]:
+    """Weights of k displaced beads, heaviest first, as a placement names their runners."""
+    return (weight - k + 1,) + (1,) * (k - 1)
 
 
 def parse_notation(text: str, weight: int) -> BeadNotation:
@@ -148,14 +125,18 @@ def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     return display.to_partition()
 
 
+def _notation(display: AbacusDisplay) -> BeadNotation:
+    comps = display.components()
+    weight = sum(sum(c) for c in comps)
+    return BeadNotation.from_components(weight, {j + 1: c for j, c in enumerate(comps)})
+
+
 def encode_notation(la: Partition, p: int, counts) -> BeadNotation:
     """Name a partition on the display with the given bead counts."""
     display = AbacusDisplay.from_partition(la, p, sum(counts))
     if display.counts() != tuple(counts):
         raise ValueError(f"{la} has bead counts {display.counts()}, expected {tuple(counts)}")
-    comps = display.components()
-    weight = sum(sum(c) for c in comps)
-    return BeadNotation.from_components(weight, {j + 1: c for j, c in enumerate(comps)})
+    return _notation(display)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +219,18 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
 # The principal block: <3^p> notation and classifiers
 # ---------------------------------------------------------------------------
 
-def _check_principal(la: Partition, p: int) -> None:
+def _display_3p(la: Partition, p: int) -> AbacusDisplay:
+    """The <3^p> display of a principal-block partition; raises for any other input."""
     require_block_prime(p)
-    if sum(la) != 3 * p or p_core(la, p) != ():
-        raise ValueError(f"{la} is not in the principal block for p={p}")
+    if sum(la) == 3 * p:
+        display = AbacusDisplay.from_partition(la, p, 3 * p)
+        if display.counts() == (3,) * p:
+            return display
+    raise ValueError(f"{la} is not in the principal block for p={p}")
 
 
 def to_3p(la: Partition, p: int) -> BeadNotation:
-    _check_principal(la, p)
-    return encode_notation(la, p, (3,) * p)
+    return _notation(_display_3p(la, p))
 
 
 def from_3p(nota: BeadNotation, p: int) -> Partition:
@@ -258,7 +242,7 @@ def from_3p(nota: BeadNotation, p: int) -> Partition:
 
 def classify_3p(la: Partition, p: int) -> dict[str, bool]:
     """Regular/restricted/self-conjugate/hook flags of a principal-block partition."""
-    _check_principal(la, p)
+    _display_3p(la, p)
     return {
         "p_regular": is_p_regular(la, p),
         "p_restricted": is_p_restricted(la, p),
@@ -277,11 +261,6 @@ def tau_p(la: Partition, p: int) -> int:
     return len(normal_nodes(la, p))
 
 
-def _display_3p(la: Partition, p: int) -> AbacusDisplay:
-    _check_principal(la, p)
-    return AbacusDisplay.from_partition(la, p, 3 * p)
-
-
 def theta(la: Partition, p: int, i: int) -> Partition:
     """Push the removable bead on runner i left: remove the (i-1)-residue node.
 
@@ -297,10 +276,10 @@ def theta(la: Partition, p: int, i: int) -> Partition:
         raise ValueError(f"{la} has no removable bead on runner {i}")
     if len(beads) > 1:
         raise RuntimeError(f"{la} has several removable beads on runner {i}: {beads}")
-    result = display.push_left(beads[0]).to_partition()
-    if not in_block(result, restriction_block(p, i)):
+    pushed = display.push_left(beads[0])
+    if pushed.core() != restriction_block(p, i).core:
         raise RuntimeError(f"restriction of {la} left the expected block B_{i}")
-    return result
+    return pushed.to_partition()
 
 
 def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
@@ -375,8 +354,7 @@ def loewy_length_detail(la: Partition, p: int) -> tuple[int, str]:
     for family, members in loewy2_families(p).items():
         if nota in members:
             return 2, f"length-2 family '{family}'"
-    flags = classify_3p(la, p)
-    if flags["p_regular"] and flags["p_restricted"]:
+    if is_p_regular(la, p) and is_p_restricted(la, p):
         return 4, "regular and restricted"
     return 3, "remaining case: regular xor restricted, not length <= 2"
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
-from .abacus import AbacusDisplay, default_bead_count
+from .abacus import _rim_hook_leg_sum
 from .partitions import (
     Node,
     Partition,
@@ -178,15 +178,7 @@ def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) ->
     highest; passing an rng picks uniformly instead, which is useful for
     checking order-independence.
     """
-    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
-    total = 0
-    while True:
-        movable = display.rim_hook_beads()
-        if not movable:
-            return total
-        m = movable[-1] if rng is None else rng.choice(movable)
-        total += display.leg_length(m)
-        display = display.push_up(m)
+    return _rim_hook_leg_sum(la, p, rng)
 
 
 def parity(la: Partition, p: int) -> int:

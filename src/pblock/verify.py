@@ -19,7 +19,6 @@ from .blocks import (
     decode_notation,
     enumerate_block,
     from_3p,
-    in_lambda_set,
     irreducible_set_X,
     loewy2_families,
     loewy_length,
@@ -293,26 +292,23 @@ def check_theta_table(p: int) -> str:
             for s, expected in table.items():
                 if theta(la, p, s) != decode_notation(expected, p, counts_223(p, s)):
                     _fail(la, f"restriction of <{i},{j}> to B_{s} is not {expected}")
-    block = enumerate_block(principal_block(p))
-    # Monotonicity on each normal-bead domain.
-    for i in range(1, p + 1):
-        members = [la for la in block if is_p_regular(la, p) and in_lambda_set(la, p, i)]
-        members.sort(reverse=True)
-        images = [theta(la, p, i) for la in members]
-        for pos in range(len(images) - 1):
-            if not images[pos] > images[pos + 1]:
-                _fail(members[pos + 1], f"restriction to B_{i} is not order-preserving")
-    # Regularity is preserved on the normal-bead domain (the bead criterion
-    # applies verbatim to singular partitions).  A merely removable bead is
-    # not enough: pushing it can erase the repeated part.
-    for la in block:
+    # One walk over the block, in descending order.  On the normal-bead
+    # domain of each runner, restriction preserves regularity (the bead
+    # criterion applies verbatim to singular partitions; a merely removable
+    # bead is not enough, since pushing it can erase the repeated part) and,
+    # on regular partitions, the order: each image lies below the previous one.
+    previous: dict[int, Partition] = {}
+    for la in enumerate_block(principal_block(p)):
+        regular = is_p_regular(la, p)
         display = AbacusDisplay.from_partition(la, p, 3 * p)
-        normals = set(display.normal_beads())
-        for i in range(1, p + 1):
-            if normals.isdisjoint(display.beads_on_runner(i)):
-                continue
-            if is_p_regular(la, p) != is_p_regular(theta(la, p, i), p):
+        for i in sorted({display.runner(m) for m in display.normal_beads()}):
+            image = theta(la, p, i)
+            if regular != is_p_regular(image, p):
                 _fail(la, f"regularity flips under restriction to B_{i}")
+            if regular:
+                if i in previous and not previous[i] > image:
+                    _fail(la, f"restriction to B_{i} is not order-preserving")
+                previous[i] = image
     return "restriction table, monotonicity and regularity preservation hold"
 
 

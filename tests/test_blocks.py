@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from pblock.blocks import (
     BeadNotation,
     counts_42,
     counts_223,
+    in_block,
     loewy2_families,
     parse_notation,
     require_block_prime,
@@ -39,9 +42,20 @@ def test_notation_canonical_forms():
 
 
 def test_notation_components_roundtrip():
-    for nota in (N3(4,), N3(4, 4), N3(4, 2), N3(2, 4), N3(4, 4, 4), N3(4, 4, 2),
-                 N3(5, 3, 1), N2(3,), N2(3, 3), N2(3, 1)):
-        assert BeadNotation.from_components(nota.weight, nota.components()) == nota
+    assert N3(4, 2).components() == {4: (2,), 2: (1,)}
+    assert N3(4, 4).components() == {4: (2, 1)}
+    assert N3(4, 4, 2).components() == {4: (1, 1), 2: (1,)}
+    for weight in (1, 2, 3):
+        for k in range(1, weight + 1):
+            for runners in product(range(1, 10), repeat=k):
+                nota = BeadNotation(weight, runners)
+                comps = nota.components()
+                assert sum(map(sum, comps.values())) == weight
+                assert BeadNotation.from_components(weight, comps) == nota
+    for weight, comps in ((3, {1: (2,)}), (2, {1: (2,), 2: (1,)}), (1, {}), (3, {4: (1, 1)}),
+                          (3, {1: (2,), 2: (1,), 3: (0,)})):
+        with pytest.raises(ValueError, match="do not fit"):
+            BeadNotation.from_components(weight, comps)
 
 
 def test_decode_worked_examples():
@@ -185,13 +199,43 @@ def test_theta_requires_removable_bead():
 
 
 def test_theta_lands_in_the_right_block():
-    p = 5
-    for la in pb.enumerate_block(pb.principal_block(p)):
-        display = pb.AbacusDisplay.from_partition(la, p, 3 * p)
-        for m in display.removable_beads():
-            i = display.runner(m)
-            image = pb.theta(la, p, i)
-            assert pb.p_core(image, p) == pb.restriction_block(p, i).core
+    for p in (5, 7):
+        for la in pb.enumerate_block(pb.principal_block(p)):
+            display = pb.AbacusDisplay.from_partition(la, p, 3 * p)
+            for m in display.removable_beads():
+                i = display.runner(m)
+                assert in_block(pb.theta(la, p, i), pb.restriction_block(p, i))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_principal_membership_matches_in_block(p):
+    """The runner-count membership rule accepts exactly what the p-core predicate accepts."""
+    block = pb.principal_block(p)
+    members = 0
+    for la in pb.partitions_of(3 * p):
+        member = in_block(la, block)
+        members += member
+        for classifier in (pb.to_3p, pb.classify_3p):
+            if member:
+                classifier(la, p)
+            else:
+                with pytest.raises(ValueError, match=f"is not in the principal block for p={p}"):
+                    classifier(la, p)
+    assert members == len(pb.enumerate_block(block))
+
+
+def test_principal_membership_errors():
+    assert pb.p_core((13, 2), 5) == (3, 2)
+    for la in ((13, 2), (5, 4, 3, 2)):  # non-empty core; a partition of 14
+        for call in (pb.to_3p, pb.classify_3p, pb.loewy_length):
+            with pytest.raises(ValueError, match="is not in the principal block for p=5"):
+                call(la, 5)
+        for call in (pb.theta, pb.in_lambda_set):
+            with pytest.raises(ValueError, match="is not in the principal block for p=5"):
+                call(la, 5, 1)
+    for call in (pb.to_3p, pb.classify_3p, pb.loewy_length):
+        with pytest.raises(ValueError, match="p must be a prime at least 5, got 9"):
+            call((9,) * 3, 9)
 
 
 def test_partners_and_sigma():

@@ -118,6 +118,7 @@ def test_parity_examples():
     assert pb.parity((3, 1), 5) == 1  # a 5-core
     assert pb.parity((2, 2, 1, 1), 7) == 1  # a 7-core by size
     assert pb.parity((6, 4, 2), 5) == -1
+    assert pb.parity((2, 1, 1, 1), 5) == -1  # one 5-hook, leg length 3
     assert pb.parity((), 5) == 1
 
 
