@@ -15,13 +15,13 @@ rows itself.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from functools import cache
 
 from .partitions import (
     Node,
     Partition,
-    _part,
+    _check_parts,
     is_p_regular,
     is_p_restricted,
     is_prime,
@@ -68,20 +68,9 @@ class AbacusDisplay:
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        # Beads 1..r-k carry the zero parts; the parts, read bottom-up, must
-        # give strictly increasing beta-numbers.
-        k = len(la)
-        betas = list(range(1, r - k + 1))
-        below = r - k
-        for i in range(k - 1, -1, -1):
-            try:
-                beta = _part(la[i]) + r - i
-            except ValueError as exc:
-                raise ValueError(f"{la} is not a partition: {exc}") from None
-            if beta <= below:
-                raise ValueError(f"{la} is not a partition")
-            betas.append(beta)
-            below = beta
+        _check_parts(la)
+        # Beads 1..r-k carry the zero parts (k = len(la)); part i, 0-based, sits at la_i + r - i.
+        betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
         return cls(p, r, frozenset(betas))
 
     @classmethod
@@ -267,8 +256,13 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
             for m in reversed(display.rim_hook_beads())]
 
 
-def _rim_hook_leg_sum(la: Partition, p: int, rng) -> int:
-    """``mullineux.rim_hook_leg_sum``, walked in place on a set of beta-numbers."""
+def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) -> int:
+    """Total leg length over a complete rim p-hook removal.
+
+    The canonical sequence (rng=None) always removes the hook whose hand is
+    highest; passing an rng picks uniformly instead, which is useful for
+    checking order-independence.  The walk moves beta-numbers in place.
+    """
     betas = set(AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).occupied)
     total = 0
     while True:
@@ -301,16 +295,18 @@ def reordered_quotient(la: Partition, p: int, r: int | None = None) -> tuple[PQu
     pushed-up display come in ascending order; component j of the reordered
     quotient is the left-to-right component of the runner with label j.
     """
-    display = _quotient_display(la, p, r)
-    first_empty = sorted((c * p + j, j) for j, c in enumerate(display.counts(), start=1))
+    return _reordered(_quotient_display(la, p, r))
+
+
+def _reordered(display: AbacusDisplay) -> tuple[PQuotient, Pyramid]:
+    first_empty = sorted((c * display.p + j, j) for j, c in enumerate(display.counts(), start=1))
     q = tuple(pos for pos, _ in first_empty)
     sigma = tuple(runner for _, runner in first_empty)
     ltr = display.components()
     reordered = PQuotient(tuple(ltr[runner - 1] for runner in sigma), "reordered")
-    return reordered, Pyramid(p, q, sigma)
+    return reordered, Pyramid(display.p, q, sigma)
 
 
-@cache
 def is_jm_fayers(la: Partition, p: int) -> bool:
     """Quotient/pyramid irreducibility test on the reordered display.
 
@@ -321,9 +317,10 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
-    if p_weight(la, p) == 0:
+    display = _quotient_display(la, p, None)
+    if sum(display.core()) == sum(la):  # weight 0; cheaper to read than the quotient
         return True
-    quotient, pyramid = reordered_quotient(la, p)
+    quotient, pyramid = _reordered(display)
     mu = quotient.components
     if any(mu[i] for i in range(1, p - 1)):
         return False

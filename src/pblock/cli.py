@@ -9,7 +9,7 @@ import sys
 
 from . import abacus, blocks, hooks, verify
 from .mullineux import mullineux as mullineux_image
-from .mullineux import mullineux_symbol, parity
+from .mullineux import MullineuxSymbol, mullineux_symbol, parity
 from .partitions import (
     addable_nodes,
     conjugate,
@@ -46,7 +46,7 @@ def _partition_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
+def _emit(payload: dict, as_json: bool, text: str | None) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -58,14 +58,14 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _inspect_record(la, p: int) -> dict:
-    core = abacus.p_core(la, p)
+    display = abacus.AbacusDisplay.from_partition(la, p, abacus.default_bead_count(la, p))
+    core = display.core()
     in_principal = sum(la) == 3 * p and core == ()
     # Principal-block partitions are shown on their 3p-bead display, as in the
     # block figures; everything else uses the least multiple of p that fits.
-    r = 3 * p if in_principal else abacus.default_bead_count(la, p)
-    display = abacus.AbacusDisplay.from_partition(la, p, r)
-    quotient = abacus.p_quotient(la, p, r)
-    reordered, pyramid = abacus.reordered_quotient(la, p, r)
+    if in_principal and display.r != 3 * p:
+        display = abacus.AbacusDisplay.from_partition(la, p, 3 * p)
+    reordered, pyramid = abacus._reordered(display)
     record = {
         "partition": list(la),
         "size": sum(la),
@@ -73,9 +73,9 @@ def _inspect_record(la, p: int) -> dict:
         "p_regular": is_p_regular(la, p),
         "p_restricted": is_p_restricted(la, p),
         "core": list(core),
-        "weight": abacus.p_weight(la, p),
+        "weight": reordered.total(),
         "display": display.to_json_dict(),
-        "quotient": [list(c) for c in quotient.components],
+        "quotient": [list(c) for c in display.components()],
         "reordered_quotient": [list(c) for c in reordered.components],
         "pyramid": {
             "q": list(pyramid.q),
@@ -123,7 +123,8 @@ def _inspect_text(record: dict, p: int, provenance: bool) -> str:
     lines.append(f"irreducible        diagram-test={record['jm_direct']} quotient-test={record['jm_fayers']}")
     if "mullineux" in record:
         lines.append(f"mullineux image    {format_partition(tuple(record['mullineux']))}")
-        sym = mullineux_symbol(la, p).format().splitlines()
+        sym = MullineuxSymbol(**{k: tuple(v) for k, v in record["mullineux_symbol"].items()})
+        sym = sym.format().splitlines()
         lines.append(f"mullineux symbol   {sym[0]}")
         lines.append(f"                   {sym[1]}")
     def nodes(key):
@@ -153,7 +154,8 @@ def _inspect_text(record: dict, p: int, provenance: bool) -> str:
 def cmd_inspect(args) -> int:
     record = _inspect_record(args.partition, args.p)
     payload = {"p": args.p, "command": "inspect", "results": [record]}
-    _emit(payload, args.json, _inspect_text(record, args.p, args.provenance))
+    text = None if args.json else _inspect_text(record, args.p, args.provenance)
+    _emit(payload, args.json, text)
     return 0
 
 

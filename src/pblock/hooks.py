@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .partitions import Partition, conjugate
+from .partitions import Partition, _check_parts, conjugate, is_prime
 
 Diagram = list[list[int]]
 
@@ -37,6 +37,9 @@ def is_jm_direct(la: Partition, p: int) -> bool:
     entries in its row or all entries in its column coincide.  The quantifier
     runs over all nodes, not only rim nodes.
     """
+    if p == 2 or not is_prime(p):
+        raise ValueError("the test needs an odd prime p")
+    _check_parts(la)
     powers = p_power_diagram(la, p)
     conj = conjugate(la)
     row_equal = [len(set(row)) <= 1 for row in powers]

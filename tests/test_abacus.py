@@ -67,16 +67,19 @@ def test_bead_count_too_small_rejected():
         AbacusDisplay.from_partition((2, 1, 1), 5, 2)
 
 
-@pytest.mark.parametrize("bad", [(3, 5), (5, 6), (3, 0, 1), (2, -1), (True, True), (3.5,)])
+@pytest.mark.parametrize("bad", [(3, 5), (5, 6), (3, 0, 1), (2, -1), (True, True), (3.5,),
+                                 (3.0,)])
 def test_non_partitions_rejected(bad):
     with pytest.raises(ValueError, match="is not a partition"):
         AbacusDisplay.from_partition(bad, 5, 5)
-    with pytest.raises(ValueError, match="is not a partition"):
-        pb.p_core(bad, 5)
-    if any(isinstance(x, bool) for x in bad):
-        return  # (True, True) == (1, 1) as a key of is_jm_fayers's cache
-    with pytest.raises(ValueError, match="is not a partition"):
-        pb.is_jm_fayers(bad, 5)
+    # Warm answers for (1, 1) == (True, True) and (3,) == (3.0,) must not leak.
+    checks = (pb.p_core, pb.is_jm_fayers, pb.is_jm_direct, pb.mullineux_symbol)
+    for check in checks:
+        for warm in ((1, 1), (3,)):
+            check(warm, 5)
+    for check in checks:
+        with pytest.raises(ValueError, match="is not a partition"):
+            check(bad, 5)
 
 
 @given(partitions(), st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=9))
@@ -247,9 +250,10 @@ def test_jm_fayers_examples():
         assert pb.is_jm_fayers(la, 5)
     with pytest.raises(ValueError):
         pb.is_jm_fayers((3, 1), 4)
-    for not_prime in (9, 15, 1):
-        with pytest.raises(ValueError):
-            pb.is_jm_fayers((5, 4), not_prime)
+    for oracle in (pb.is_jm_fayers, pb.is_jm_direct):
+        for not_odd_prime in (4, 9, 15, 1, 2):
+            with pytest.raises(ValueError, match="needs an odd prime"):
+                oracle((5, 4), not_odd_prime)
 
 
 def test_jm_oracles_agree_small():

@@ -41,6 +41,7 @@ def test_inspect_staircase_text(capsys):
     assert "<5,3,1>" in out
     assert "loewy length       4" in out
     assert "mullineux image    7,5,2,1" in out
+    assert "mullineux symbol   (8 5 2)\n                   (5 3 2)\n" in out
     assert "regular and restricted" in out
 
 
