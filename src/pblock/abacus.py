@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from .partitions import (
     Node,
     Partition,
-    _check_parts,
     is_p_regular,
     is_p_restricted,
     is_prime,
+    partition,
 )
 
 
@@ -68,7 +68,7 @@ class AbacusDisplay:
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        _check_parts(la)
+        la = partition(la)
         # Beads 1..r-k carry the zero parts (k = len(la)); part i, 0-based, sits at la_i + r - i.
         betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
         return cls(p, r, frozenset(betas))
@@ -133,9 +133,6 @@ class AbacusDisplay:
 
     def removable_beads(self) -> list[int]:
         return sorted(m for m in self.occupied if m > 1 and m - 1 not in self.occupied)
-
-    def addable_beads(self) -> list[int]:
-        return sorted(m for m in self.occupied if m + 1 not in self.occupied)
 
     def rim_hook_beads(self) -> list[int]:
         """Beads movable one row up; one per removable rim p-hook."""

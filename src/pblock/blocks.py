@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
 from .abacus import AbacusDisplay, default_bead_count, is_jm_fayers, p_core
@@ -194,7 +193,6 @@ def _component_tuples(p: int, w: int) -> Iterator[tuple[Partition, ...]]:
                 yield (head,) + tail
 
 
-@cache  # the checks walk the same few blocks: 29 of 53 calls hit in run_checks(23)
 def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     """All partitions with the label's core and weight, descending lex.
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .partitions import Partition, _check_parts, conjugate, is_prime
+from .partitions import Partition, conjugate, is_prime, partition
 
 Diagram = list[list[int]]
 
@@ -39,7 +39,7 @@ def is_jm_direct(la: Partition, p: int) -> bool:
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
-    _check_parts(la)
+    la = partition(la)
     powers = p_power_diagram(la, p)
     conj = conjugate(la)
     row_equal = [len(set(row)) <= 1 for row in powers]

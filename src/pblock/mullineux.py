@@ -12,13 +12,11 @@ divide a_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .abacus import rim_hook_leg_sum
 from .partitions import (
     Node,
     Partition,
-    _check_parts,
     good_nodes,
     is_p_regular,
     is_prime,
@@ -92,7 +90,7 @@ def mullineux_symbol(la: Partition, p: int) -> MullineuxSymbol:
     """Strip p-rims down to the empty partition, recording sizes and row counts."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    _check_parts(la)
+    la = partition(la)
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
     sizes, rows = [], []
@@ -163,7 +161,6 @@ def partition_from_symbol(symbol: MullineuxSymbol, p: int) -> Partition:
     return current
 
 
-@cache  # mullineux-conformance and parity-flip share images (7,591/16,193 hits in run_checks(23))
 def mullineux(la: Partition, p: int) -> Partition:
     """The Mullineux image: same rim sizes, row counts a_j - r_j (+1 unless p | a_j)."""
     symbol = mullineux_symbol(la, p)
@@ -185,7 +182,11 @@ def check_good_node_compatibility(la: Partition, p: int) -> bool:
     """
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
-    image = mullineux(la, p)
+    return _good_nodes_pair_off(la, mullineux(la, p), p)
+
+
+def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:
+    """The good-node pairing of :func:`check_good_node_compatibility`, given ``la``'s image."""
     image_goods = {residue(node, p): node for node in good_nodes(image, p)}
     for node in good_nodes(la, p):
         smaller = remove_node(la, node)

@@ -26,34 +26,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _part(x) -> int:
-    if isinstance(x, bool):
-        raise ValueError(f"part {x!r} is a boolean, not an integer")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"part {x!r} is not an integer") from None
-
-
-def _check_parts(la) -> None:
-    """Raise unless ``la``'s parts are integers, weakly decreasing to a last part >= 0."""
-    try:
-        parts = list(map(_part, la))
-    except ValueError as exc:
-        raise ValueError(f"{la} is not a partition: {exc}") from None
-    if (parts and parts[-1] < 0) or parts != sorted(parts, reverse=True):
-        raise ValueError(f"{la} is not a partition")
-
-
 def partition(parts) -> Partition:
-    """Canonicalize an iterable of integer parts: drop trailing zeros, validate shape."""
-    p = tuple(map(_part, parts))
+    """Canonicalize integer parts, dropping trailing zeros: the package's one shape rule.
+
+    Each defect raises "<parts> is not a partition: <reason>".
+    """
+    la = tuple(parts)
+    try:
+        p = tuple(map(operator.index, la))
+    except TypeError as exc:
+        raise ValueError(f"{la} is not a partition: {exc}") from None
+    if bool in map(type, la):
+        raise ValueError(f"{la} is not a partition: a boolean part is not an integer")
     while p and p[-1] == 0:
         p = p[:-1]
     if p and p[-1] < 0:
-        raise ValueError(f"negative part in {p}")
-    if any(a < b for a, b in zip(p, p[1:])):
-        raise ValueError(f"parts not weakly decreasing: {p}")
+        raise ValueError(f"{la} is not a partition: negative part {p[-1]}")
+    if p != tuple(sorted(p, reverse=True)):
+        raise ValueError(f"{la} is not a partition: parts not weakly decreasing")
     return p
 
 

@@ -6,9 +6,11 @@ check always carries a concrete counterexample.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from .abacus import AbacusDisplay, is_jm_fayers, p_weight
 from .blocks import (
@@ -33,7 +35,7 @@ from .blocks import (
 from .hooks import is_jm_direct
 from .mullineux import (
     MullineuxSymbol,
-    check_good_node_compatibility,
+    _good_nodes_pair_off,
     mullineux,
     mullineux_symbol,
     parity,
@@ -70,12 +72,36 @@ def _N3(*runners) -> BeadNotation:
     return BeadNotation(3, runners)
 
 
+@dataclass(frozen=True)
+class _PrincipalTable:
+    """What the checks share about the principal block at one prime.
+
+    ``members`` is descending lex; ``regular`` and ``both`` (regular and
+    restricted) keep that order; ``images`` maps each regular member to its
+    Mullineux image.
+    """
+
+    members: tuple[Partition, ...]
+    regular: tuple[Partition, ...]
+    both: tuple[Partition, ...]
+    images: MappingProxyType[Partition, Partition]
+
+
+@functools.lru_cache(maxsize=1)  # one prime at a time: a sweep drops a table before building the next
+def _principal_table(p: int) -> _PrincipalTable:
+    members = enumerate_block(principal_block(p))
+    regular = tuple(la for la in members if is_p_regular(la, p))
+    return _PrincipalTable(members, regular,
+                           tuple(la for la in regular if is_p_restricted(la, p)),
+                           MappingProxyType({la: mullineux(la, p) for la in regular}))
+
+
 # ---------------------------------------------------------------------------
 # Individual checks: each returns a detail string or raises CheckFailure.
 # ---------------------------------------------------------------------------
 
 def check_jm_classification(p: int) -> str:
-    block = enumerate_block(principal_block(p))
+    block = _principal_table(p).members
     expected = {(3 * p,), (1,) * (3 * p)}
     passing = {la for la in block if is_jm_fayers(la, p)}
     if passing != expected:
@@ -98,14 +124,10 @@ def check_xi_sets(p: int) -> str:
     return f"irreducible sets of B_2..B_{p} match the classified lists"
 
 
-def _both(flagged: dict) -> bool:
-    return flagged["p_regular"] and flagged["p_restricted"]
-
-
 def check_prop31(p: int) -> str:
-    block = enumerate_block(principal_block(p))
+    block = _principal_table(p).members
     flags = {la: classify_3p(la, p) for la in block}
-    both = {la for la in block if _both(flags[la])}
+    both = {la for la in block if flags[la]["p_regular"] and flags[la]["p_restricted"]}
 
     # (1) <i,j>: both iff i < j <= p-1.
     for i, j in product(range(1, p + 1), repeat=2):
@@ -194,14 +216,11 @@ def check_prop212(p: int) -> str:
             if tau(la) != (3 if i == p else 4) or tau_p(la, p) != 2:
                 _fail(la, f"<{i},{j}> node counts differ")
     # (5) normal-node ceiling for regular partitions.
-    block = enumerate_block(principal_block(p))
     spread = set()
     if p >= 7:
         spread = {from_3p(_N3(i, j, k), p)
                   for i in range(3, p + 1) for j in range(2, i - 1) for k in range(2, j - 1)}
-    for la in block:
-        if not is_p_regular(la, p):
-            continue
+    for la in _principal_table(p).regular:
         count = tau_p(la, p)
         if p == 5 and count > 2:
             _fail(la, "a 5-regular partition with more than two normal nodes")
@@ -215,12 +234,8 @@ def check_prop212(p: int) -> str:
 
 def check_lemma34(p: int) -> str:
     exceptional = from_3p(_N3(1, 2), p)
-    checked = 0
-    for la in enumerate_block(principal_block(p)):
-        flags = classify_3p(la, p)
-        if not _both(flags):
-            continue
-        checked += 1
+    both = _principal_table(p).both
+    for la in both:
         witnesses = []
         for node in removable_nodes(la):
             smaller = remove_node(la, node)
@@ -233,7 +248,7 @@ def check_lemma34(p: int) -> str:
         has_normal_witness = any(node in normal for node in witnesses)
         if has_normal_witness != (la != exceptional):
             _fail(la, "normal-witness existence contradicts the single exception")
-    return f"{checked} regular&restricted partitions have the stated witnesses"
+    return f"{len(both)} regular&restricted partitions have the stated witnesses"
 
 
 def check_mullineux_conformance(p: int) -> str:
@@ -255,24 +270,22 @@ def check_mullineux_conformance(p: int) -> str:
                        (9, 6), (8, 5, 2), (7, 6, 1, 1)}
         if {mullineux(la, 5) for la in second_layer} != third_layer:
             _fail(sorted(second_layer)[0], "the six-element layer does not map onto its twin")
-    regulars = [la for la in enumerate_block(principal_block(p)) if is_p_regular(la, p)]
-    for la in regulars:
-        if mullineux(mullineux(la, p), p) != la:
+    table = _principal_table(p)
+    for la in table.regular:
+        image = table.images[la]
+        if table.images.get(image) != la:
             _fail(la, "not an involution on the block")
-        if not check_good_node_compatibility(la, p):
+        if not _good_nodes_pair_off(la, image, p):
             _fail(la, "good nodes do not pair off with negated residues")
-    return f"worked symbols and images match; involution holds on {len(regulars)} block partitions"
+    return f"worked symbols and images match; involution holds on {len(table.regular)} block partitions"
 
 
 def check_parity_flip(p: int) -> str:
-    count = 0
-    for la in enumerate_block(principal_block(p)):
-        if not is_p_regular(la, p):
-            continue
-        count += 1
-        if parity(mullineux(la, p), p) == parity(la, p):
+    table = _principal_table(p)
+    for la, image in table.images.items():
+        if parity(image, p) == parity(la, p):
             _fail(la, "image has the same parity")
-    return f"parity flips under the involution for all {count} regular partitions"
+    return f"parity flips under the involution for all {len(table.images)} regular partitions"
 
 
 def check_theta_table(p: int) -> str:
@@ -298,7 +311,7 @@ def check_theta_table(p: int) -> str:
     # bead is not enough, since pushing it can erase the repeated part) and,
     # on regular partitions, the order: each image lies below the previous one.
     previous: dict[int, Partition] = {}
-    for la in enumerate_block(principal_block(p)):
+    for la in _principal_table(p).members:
         regular = is_p_regular(la, p)
         display = AbacusDisplay.from_partition(la, p, 3 * p)
         for i in sorted({display.runner(m) for m in display.normal_beads()}):
@@ -360,7 +373,8 @@ def check_loewy_partition(p: int) -> str:
     if len(length2) != 3 * p + 2:
         _fail(sorted(length2)[0], "length-2 family has the wrong cardinality")
 
-    block = enumerate_block(principal_block(p))
+    table = _principal_table(p)
+    block = table.members
     classes: dict[int, set[Partition]] = {1: set(), 2: set(), 3: set(), 4: set()}
     for la in block:
         classes[loewy_length(la, p)].add(la)
@@ -370,7 +384,7 @@ def check_loewy_partition(p: int) -> str:
         _fail(sorted(classes[1])[0], "length-1 class is not the extreme pair")
     if classes[2] != length2:
         _fail(sorted(classes[2] ^ length2)[0], "length-2 class differs from its families")
-    both = {la for la in block if _both(classify_3p(la, p))}
+    both = set(table.both)
     if classes[4] != both:
         _fail(sorted(classes[4] ^ both)[0], "length-4 class is not the regular&restricted set")
     spot = from_3p(_N3(p, p - 1, p - 2), p)

@@ -50,8 +50,6 @@ def test_from_partition_worked_example():
     display = AbacusDisplay.from_partition((7, 7, 2, 2, 1), 5, 15)
     assert display.occupied == frozenset({22, 21, 15, 14, 12} | set(range(1, 11)))
     assert display.removable_beads() == [12, 14, 21]
-    # four addable nodes, hence four addable beads (10 adds the row-6 node)
-    assert display.addable_beads() == [10, 12, 15, 22]
     assert display.rim_hook_beads() == [21, 22]
 
 
@@ -73,13 +71,20 @@ def test_non_partitions_rejected(bad):
     with pytest.raises(ValueError, match="is not a partition"):
         AbacusDisplay.from_partition(bad, 5, 5)
     # Warm answers for (1, 1) == (True, True) and (3,) == (3.0,) must not leak.
-    checks = (pb.p_core, pb.is_jm_fayers, pb.is_jm_direct, pb.mullineux_symbol)
+    checks = (pb.p_core, pb.is_jm_fayers, pb.is_jm_direct, pb.mullineux_symbol, pb.mullineux)
     for check in checks:
         for warm in ((1, 1), (3,)):
             check(warm, 5)
     for check in checks:
         with pytest.raises(ValueError, match="is not a partition"):
             check(bad, 5)
+
+
+def test_trailing_zeros_accepted_and_dropped():
+    for check in (pb.p_core, pb.is_jm_fayers, pb.is_jm_direct, pb.mullineux_symbol,
+                  pb.mullineux):
+        assert check((3, 0, 0), 5) == check((3,), 5), check
+    assert AbacusDisplay.from_partition((3, 0), 5, 5) == AbacusDisplay.from_partition((3,), 5, 5)
 
 
 @given(partitions(), st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=9))

@@ -85,6 +85,17 @@ def test_inspect_rejects_garbage_partition(capsys):
     assert exc.value.code == 2
 
 
+def test_one_message_per_shape_defect(capsys):
+    # The CLI parser and the library share partition()'s rule and its wording.
+    for text, bad in (("3,5", (3, 5)), ("2,-1", (2, -1)), ("3,0,1", (3, 0, 1))):
+        with pytest.raises(ValueError) as library:
+            pb.p_core(bad, 5)
+        with pytest.raises(SystemExit):
+            main(["inspect", text, "--p", "5"])
+        assert capsys.readouterr().err.rstrip().endswith(f": {library.value}")
+        assert str(library.value).startswith(f"{bad} is not a partition: ")
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
