@@ -39,6 +39,19 @@ def _decode_betas(betas, r: int) -> Partition:
     return tuple(part for part in parts if part)
 
 
+def _runner_betas(p: int, counts, components) -> frozenset[int]:
+    """Beta-numbers with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
+    occupied = set()
+    for j, (c, kappa) in enumerate(zip(counts, components, strict=True), start=1):
+        if len(kappa) > c:
+            raise ValueError(f"component {kappa} needs more than {c} beads on runner {j}")
+        padded = tuple(kappa) + (0,) * (c - len(kappa))
+        occupied.update((padded[t - 1] + c - t) * p + j for t in range(1, c + 1))
+    if len(occupied) != sum(counts):
+        raise ValueError(f"expected {sum(counts)} beads, got {len(occupied)}")
+    return frozenset(occupied)
+
+
 @dataclass(frozen=True)
 class AbacusDisplay:
     """An immutable set of r occupied positions on p runners.
@@ -76,13 +89,12 @@ class AbacusDisplay:
     @classmethod
     def from_runners(cls, p: int, counts, components) -> "AbacusDisplay":
         """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-        occupied = set()
-        for j, (c, kappa) in enumerate(zip(counts, components, strict=True), start=1):
-            if len(kappa) > c:
-                raise ValueError(f"component {kappa} needs more than {c} beads on runner {j}")
-            padded = tuple(kappa) + (0,) * (c - len(kappa))
-            occupied.update((padded[t - 1] + c - t) * p + j for t in range(1, c + 1))
-        return cls(p, sum(counts), frozenset(occupied))
+        return cls(p, sum(counts), _runner_betas(p, counts, components))
+
+    @staticmethod
+    def partition_from_runners(p: int, counts, components) -> Partition:
+        """``from_runners(p, counts, components).to_partition()``, without building the display."""
+        return _decode_betas(_runner_betas(p, counts, components), sum(counts))
 
     def to_partition(self) -> Partition:
         return _decode_betas(self.occupied, self.r)
@@ -106,6 +118,10 @@ class AbacusDisplay:
             weights = [t - s for s, t in enumerate(rows, start=1)]
             comps.append(tuple(w for w in reversed(weights) if w))
         return tuple(comps)
+
+    def weight(self) -> int:
+        """The p-weight: each runner's rows, less the rows 1..c its pushed-up beads fill."""
+        return sum(sum(rows) - len(rows) * (len(rows) + 1) // 2 for rows in self.rows)
 
     def core(self) -> Partition:
         """The p-core: every runner's beads pushed up into its top rows."""
@@ -239,7 +255,7 @@ def p_core(la: Partition, p: int) -> Partition:
 
 
 def p_weight(la: Partition, p: int) -> int:
-    return (sum(la) - sum(p_core(la, p))) // p
+    return AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).weight()
 
 
 def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
@@ -315,7 +331,7 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
     display = _quotient_display(la, p, None)
-    if sum(display.core()) == sum(la):  # weight 0; cheaper to read than the quotient
+    if display.weight() == 0:
         return True
     quotient, pyramid = _reordered(display)
     mu = quotient.components

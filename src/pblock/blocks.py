@@ -11,11 +11,13 @@ display: the p-core is empty exactly when every runner carries three beads.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator
 
-from .abacus import AbacusDisplay, default_bead_count, is_jm_fayers, p_core
+from .abacus import AbacusDisplay, default_bead_count, is_jm_fayers, p_core, p_weight
 from .partitions import (
     Partition,
     add_node,
@@ -120,8 +122,7 @@ def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     if any(r > p for r in nota.runners):
         raise ValueError(f"runner out of range in {nota} for p={p}")
     comps = nota.components()
-    display = AbacusDisplay.from_runners(p, counts, [comps.get(j, ()) for j in range(1, p + 1)])
-    return display.to_partition()
+    return AbacusDisplay.partition_from_runners(p, counts, [comps.get(j, ()) for j in range(1, p + 1)])
 
 
 def _notation(display: AbacusDisplay) -> BeadNotation:
@@ -206,7 +207,7 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
         raise ValueError(f"{label.core} is not a {p}-core")
     extra = max(0, label.weight - min(display.counts()))
     counts = tuple(c + extra for c in display.counts())
-    out = [AbacusDisplay.from_runners(p, counts, comps).to_partition()
+    out = [AbacusDisplay.partition_from_runners(p, counts, comps)
            for comps in _component_tuples(p, label.weight)]
     if len(set(out)) != len(out):
         raise RuntimeError(f"component tuples collided for {label}")
@@ -267,16 +268,20 @@ def theta(la: Partition, p: int, i: int) -> Partition:
     """
     if not 1 <= i <= p:
         raise ValueError(f"runner {i} out of range for p={p}")
-    display = _display_3p(la, p)
+    return _theta(_display_3p(la, p), i)
+
+
+def _theta(display: AbacusDisplay, i: int) -> Partition:
+    """:func:`theta` on the <3^p> display of a principal-block partition, runner i in range."""
     removable = display.removable_beads()
     beads = [m for m in display.beads_on_runner(i) if m in removable]
     if not beads:
-        raise ValueError(f"{la} has no removable bead on runner {i}")
+        raise ValueError(f"{display.to_partition()} has no removable bead on runner {i}")
     if len(beads) > 1:
-        raise RuntimeError(f"{la} has several removable beads on runner {i}: {beads}")
+        raise RuntimeError(f"{display.to_partition()} has several removable beads on runner {i}: {beads}")
     pushed = display.push_left(beads[0])
-    if pushed.core() != restriction_block(p, i).core:
-        raise RuntimeError(f"restriction of {la} left the expected block B_{i}")
+    if pushed.core() != restriction_block(display.p, i).core:
+        raise RuntimeError(f"restriction of {display.to_partition()} left the expected block B_{i}")
     return pushed.to_partition()
 
 
@@ -292,7 +297,7 @@ def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
     res = (i - 1) % p
     out = [add_node(la_tilde, node)
            for node in addable_nodes(la_tilde) if residue(node, p) == res]
-    out = [mu for mu in out if p_core(mu, p) == ()]
+    out = [mu for mu in out if p * p_weight(mu, p) == sum(mu)]  # empty p-core
     return tuple(sorted(out, reverse=True))
 
 
@@ -330,10 +335,11 @@ def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:
 # Loewy-length classifier
 # ---------------------------------------------------------------------------
 
-def loewy2_families(p: int) -> dict[str, frozenset[BeadNotation]]:
-    """The four families whose members have Loewy length 2."""
+@functools.lru_cache(maxsize=1, typed=True)  # one prime at a time; typed, so 5.0 cannot read 5's
+def loewy2_families(p: int) -> MappingProxyType[str, frozenset[BeadNotation]]:
+    """The four families whose members have Loewy length 2, read-only."""
     require_block_prime(p)
-    return {
+    return MappingProxyType({
         "single-bead": frozenset(BeadNotation(3, (i,)) for i in range(1, p)),
         "triple-repeat": frozenset(BeadNotation(3, (i, i, i)) for i in range(2, p + 1)),
         "double-repeat": frozenset(BeadNotation(3, (i, i)) for i in range(1, p + 1)),
@@ -341,13 +347,13 @@ def loewy2_families(p: int) -> dict[str, frozenset[BeadNotation]]:
             BeadNotation(3, (p, p - 1)), BeadNotation(3, (p - 1, p)),
             BeadNotation(3, (2, 2, 1)), BeadNotation(3, (2, 1, 1)),
         }),
-    }
+    })
 
 
 def loewy_length_detail(la: Partition, p: int) -> tuple[int, str]:
     """Loewy length 1-4 of the Specht module, with the clause that decided it."""
     nota = to_3p(la, p)
-    if nota in (BeadNotation(3, (p,)), BeadNotation(3, (1, 1, 1))):
+    if nota.runners in ((p,), (1, 1, 1)):
         return 1, "irreducible: row or column partition of the block"
     for family, members in loewy2_families(p).items():
         if nota in members:

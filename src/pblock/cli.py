@@ -204,7 +204,9 @@ def _matches(record: dict, filt: str) -> bool:
         return bool(record["hook"])
     match = re.fullmatch(r"loewy=([1-4])", filt)
     if match:
-        return record.get("loewy") == int(match.group(1))
+        if "loewy" not in record:
+            raise ValueError(f"filter {filt!r} needs the principal block: only its Loewy lengths are classified")
+        return record["loewy"] == int(match.group(1))
     raise argparse.ArgumentTypeError(
         f"unknown filter {filt!r}: use jm, regular, restricted, hook or loewy=<1-4>")
 

@@ -39,12 +39,10 @@ def is_jm_direct(la: Partition, p: int) -> bool:
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
-    la = partition(la)
-    powers = p_power_diagram(la, p)
-    conj = conjugate(la)
+    powers = p_power_diagram(partition(la), p)
     row_equal = [len(set(row)) <= 1 for row in powers]
-    col_equal = [len({powers[i][j] for i in range(conj[j])}) <= 1
-                 for j in range(la[0] if la else 0)]
+    col_equal = [len({row[j] for row in powers if j < len(row)}) <= 1
+                 for j in range(len(powers[0]) if powers else 0)]
     for i, row in enumerate(powers):
         for j, entry in enumerate(row):
             if entry > 0 and not (row_equal[i] or col_equal[j]):

@@ -57,12 +57,12 @@ def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
     """Remove the p-rim; returns (smaller partition, cells removed, rows of ``la``)."""
     if not la:
         raise ValueError("cannot strip the empty partition")
-    removed_per_row = [0] * len(la)
-    rim = p_rim(la, p)
-    for i, _ in rim:
-        removed_per_row[i - 1] += 1
-    stripped = partition(part - t for part, t in zip(la, removed_per_row))
-    return stripped, len(rim), len(la)
+    taken, need = [], p  # cells the walk of p_rim takes per row; cells its open segment lacks
+    for part, below in zip(la, la[1:] + (0,)):
+        take = min(part - max(below, 1) + 1, need)  # row i offers la_i - max(la_{i+1}, 1) + 1
+        taken.append(take)
+        need = need - take or p  # a filled segment restarts with the next row
+    return partition(part - t for part, t in zip(la, taken)), sum(taken), len(la)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from types import MappingProxyType
 from .abacus import AbacusDisplay, is_jm_fayers, p_weight
 from .blocks import (
     BeadNotation,
+    _theta,
     classify_3p,
     counts_42,
     counts_223,
@@ -129,9 +130,11 @@ def check_prop31(p: int) -> str:
     flags = {la: classify_3p(la, p) for la in block}
     both = {la for la in block if flags[la]["p_regular"] and flags[la]["p_restricted"]}
 
+    decoded = set()
     # (1) <i,j>: both iff i < j <= p-1.
     for i, j in product(range(1, p + 1), repeat=2):
         la = from_3p(_N3(i, j), p)
+        decoded.add(la)
         if (la in both) != (i < j <= p - 1):
             _fail(la, f"<{i},{j}> contradicts the two-index regular&restricted rule")
     # (2) <i,i,j>: both iff 2 <= j < i.
@@ -139,6 +142,7 @@ def check_prop31(p: int) -> str:
         if i == j:
             continue
         la = from_3p(_N3(i, i, j), p)
+        decoded.add(la)
         if (la in both) != (2 <= j < i):
             _fail(la, f"<{i},{i},{j}> contradicts the repeated-index rule")
     # (3) distinct <i,j,k>: both iff not one of the two excluded triples.
@@ -146,17 +150,14 @@ def check_prop31(p: int) -> str:
         for j in range(2, i):
             for k in range(1, j):
                 la = from_3p(_N3(i, j, k), p)
+                decoded.add(la)
                 expected = (i, j, k) not in {(3, 2, 1), (p, p - 1, p - 2)}
                 if (la in both) != expected:
                     _fail(la, f"<{i},{j},{k}> contradicts the distinct-index rule")
-    # (4) the three families exhaust the regular&restricted partitions.
-    family = {from_3p(_N3(i, j), p) for i in range(1, p) for j in range(i + 1, p)}
-    family |= {from_3p(_N3(i, i, j), p) for i in range(3, p + 1) for j in range(2, i)}
-    family |= {from_3p(_N3(i, j, k), p)
-               for i in range(3, p + 1) for j in range(2, i) for k in range(1, j)
-               if (i, j, k) not in {(3, 2, 1), (p, p - 1, p - 2)}}
-    if family != both:
-        _fail(sorted(family ^ both)[0], "regular&restricted set differs from the three families")
+    # (4) the three families exhaust the regular&restricted partitions.  By
+    # (1)-(3) they are the regular&restricted placements decoded there.
+    if not both <= decoded:
+        _fail(sorted(both - decoded)[0], "regular&restricted set differs from the three families")
     # (5) self-conjugates: a placement is fixed by conjugation exactly when its
     # runner multiset is symmetric about (p+1)/2.
     half = (p + 1) // 2
@@ -315,7 +316,7 @@ def check_theta_table(p: int) -> str:
         regular = is_p_regular(la, p)
         display = AbacusDisplay.from_partition(la, p, 3 * p)
         for i in sorted({display.runner(m) for m in display.normal_beads()}):
-            image = theta(la, p, i)
+            image = _theta(display, i)
             if regular != is_p_regular(image, p):
                 _fail(la, f"regularity flips under restriction to B_{i}")
             if regular:

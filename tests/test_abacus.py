@@ -103,6 +103,25 @@ def test_bead_moves_are_value_ops():
         display.push_up(12)  # 7 occupied
 
 
+def test_partition_from_runners_skips_the_display():
+    counts = (4, 2, 3, 3, 3)
+    for j in range(5):
+        for kappa in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]:
+            comps = [()] * 5
+            comps[j] = kappa
+            if len(kappa) > counts[j]:
+                for build in (AbacusDisplay.from_runners, AbacusDisplay.partition_from_runners):
+                    with pytest.raises(ValueError, match="needs more than"):
+                        build(5, counts, comps)
+                continue
+            display = AbacusDisplay.from_runners(5, counts, comps)
+            assert AbacusDisplay.partition_from_runners(5, counts, comps) == display.to_partition()
+            assert display.components()[j] == kappa
+    for build in (AbacusDisplay.from_runners, AbacusDisplay.partition_from_runners):
+        with pytest.raises(ValueError, match="expected 15 beads, got 14"):
+            build(5, counts, [(0, 1), (), (), (), ()])  # a non-partition component collides
+
+
 # ---------------------------------------------------------------------------
 # cores, weights, rim hooks
 # ---------------------------------------------------------------------------
@@ -114,6 +133,17 @@ def test_core_weight_worked_examples():
     assert pb.p_weight((7, 7, 2, 2, 1), 5) == 3
     core = (2, 2, 1)
     assert pb.p_core(core, 5) == core and pb.p_weight(core, 5) == 0
+
+
+def test_weight_reads_the_runner_rows():
+    # weight() sums rows off the display; the decoded core gives the same number.
+    for p in (5, 7):
+        for la in all_partitions_up_to(20):
+            display = AbacusDisplay.from_partition(la, p, pb.default_bead_count(la, p))
+            assert p * display.weight() == sum(la) - sum(display.core()), (la, p)
+    for la in pb.enumerate_block(pb.principal_block(11)):
+        display = AbacusDisplay.from_partition(la, 11, 33)
+        assert display.weight() == 3 and display.core() == ()
 
 
 def test_rim_hook_removals_worked_examples():

@@ -127,6 +127,15 @@ def test_enumerate_loewy_filter(capsys):
     assert len(payload["results"]) == 3 * 7 + 2
 
 
+def test_enumerate_loewy_filter_needs_the_principal_block(capsys):
+    # Loewy lengths are classified on the principal block only; elsewhere an
+    # empty list would be a confident answer the classifier does not give.
+    for block in ("B1", "B2"):
+        code, out, err = run_cli(capsys, "enumerate", block, "--p", "5", "--filter", "loewy=2")
+        assert code == 2 and out == ""
+        assert "needs the principal block" in err
+
+
 def test_enumerate_bad_block(capsys):
     code, _, err = run_cli(capsys, "enumerate", "B9", "--p", "5")
     assert code == 2

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 import pblock as pb
 from pblock.blocks import BeadNotation
 from pblock.mullineux import p_rim, rim_hook_leg_sum, rim_path, strip_p_rim
-from conftest import all_partitions_up_to, partitions
+from conftest import all_partitions_up_to, partitions, regular_partitions
+
+ROUND_TRIP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def N3(*runners):
@@ -28,6 +31,18 @@ def test_p_rim_skips_to_next_row_after_full_segment():
     assert p_rim((8, 6, 1), 5) == [(1, 8), (1, 7), (1, 6), (2, 6), (2, 5), (3, 1)]
     assert strip_p_rim((8, 6, 1), 5) == ((5, 4), 6, 3)
     assert strip_p_rim((5, 5, 5), 5) == ((4, 4, 2), 5, 3)
+
+
+def test_strip_p_rim_matches_the_cell_walk_exhaustive():
+    # strip_p_rim counts each row's cells by arithmetic; p_rim walks them one by one.
+    for p in (2, 3, 5, 7):
+        for la in all_partitions_up_to(22):
+            if not la:
+                continue
+            rim = p_rim(la, p)
+            per_row = Counter(i for i, _ in rim)
+            stripped = pb.partition(part - per_row[i] for i, part in enumerate(la, start=1))
+            assert strip_p_rim(la, p) == (stripped, len(rim), len(la)), (la, p)
 
 
 def test_symbol_worked_examples():
@@ -61,11 +76,19 @@ def test_symbol_reconstruction_exhaustive():
                 assert pb.partition_from_symbol(pb.mullineux_symbol(la, p), p) == la
 
 
-@given(partitions(max_n=32), st.sampled_from([3, 5, 7]))
+@given(partitions(max_n=93), st.sampled_from(ROUND_TRIP_PRIMES))
 @settings(max_examples=150)
 def test_symbol_reconstruction(la, p):
     if pb.is_p_regular(la, p):
         assert pb.partition_from_symbol(pb.mullineux_symbol(la, p), p) == la
+
+
+@given(st.sampled_from(ROUND_TRIP_PRIMES).flatmap(
+    lambda p: st.tuples(regular_partitions(p, max_n=93), st.just(p))))
+@settings(max_examples=150)
+def test_mullineux_is_an_involution(case):
+    la, p = case
+    assert pb.mullineux(pb.mullineux(la, p), p) == la
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pblock.verify import run_checks
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference", "verify.json")
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11])
 def test_check_details_match_the_reference(p):
     with open(REFERENCE) as fh:
         expected = json.load(fh)[str(p)]
