@@ -316,6 +316,8 @@ def sigma_partner(la: Partition, p: int, i: int) -> Partition:
 
 def in_lambda_set(la: Partition, p: int, i: int) -> bool:
     """Normal-bead test on runner i of the <3^p> display (p-regular input only)."""
+    if not 1 <= i <= p:
+        raise ValueError(f"runner {i} out of range for p={p}")
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
     display = _display_3p(la, p)

@@ -1,12 +1,11 @@
 """The Mullineux involution via p-rim stripping, and rim-hook parity.
 
-The p-rim of a partition is collected by walking the rim from the top-right
-cell towards the bottom-left in segments of p cells: once a segment is full,
-the rest of its final row is skipped and the next segment starts with the
-rim of the following row.  Stripping p-rims down to the empty partition
-records the symbol (sizes stripped; row counts), and the involution acts on
-symbols by replacing each row count r_j with a_j - r_j (+1 when p does not
-divide a_j).
+The p-rim of a partition is walked from the top-right cell to the bottom-left
+in segments of p cells; a full segment skips the rest of its final row.
+``strip_p_rim`` takes it off by row arithmetic, and ``_add_p_rim`` puts it back
+by one walk of the segments from the bottom row up.  Stripping down to the empty
+partition records the symbol (sizes stripped; row counts); the involution
+replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j).
 """
 
 from __future__ import annotations
@@ -75,6 +74,8 @@ class MullineuxSymbol:
     def __post_init__(self):
         if len(self.a) != len(self.r):
             raise ValueError("rows of a Mullineux symbol must have equal length")
+        if any(type(x) is not int or x < 1 for x in (*self.a, *self.r)):
+            raise ValueError(f"entries of a Mullineux symbol must be positive integers: {self}")
 
     def format(self) -> str:
         width = max((len(str(x)) for x in self.a + self.r), default=1)
@@ -105,56 +106,34 @@ def mullineux_symbol(la: Partition, p: int) -> MullineuxSymbol:
 def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     """The unique partition with r rows whose p-rim strip yields (``mu``, ``a``).
 
-    Within one p-segment every passed-through row i satisfies
-    mu_i = la_{i+1} - 1, so a choice of segment boundaries determines the
-    candidate completely; candidates are validated by re-stripping.
+    One walk from the bottom row up places the segments, the last first.  A row
+    i passed through had mu_{i-1} + 1 cells and gives d_i = mu_{i-1} - mu_i + 1;
+    a segment starts in the lowest row whose d_i fills it (else in row 1), and
+    that row takes the rest.  Re-stripping validates the one candidate.
     """
     if r < len(mu) or r < 1:
         raise ValueError(f"cannot add a p-rim of {a} cells onto {mu} with {r} rows")
-    mu_pad = list(mu) + [0] * (r - len(mu))
-    segments = (a + p - 1) // p
-    sizes = [p] * (segments - 1) + [a - (segments - 1) * p]
-    # d[i] = cells contributed by row i (1-based, i >= 2) when passed through.
-    d = [0, 0] + [mu_pad[i - 2] - mu_pad[i - 1] + 1 for i in range(2, r + 1)]
-    found = []
-
-    def close_block(lam, start, end, size):
-        interior = sum(d[start + 1 : end + 1])
-        t_start = size - interior
-        if t_start < 1:
-            return None
-        lam = list(lam)
-        for i in range(start + 1, end + 1):
-            lam[i - 1] = mu_pad[i - 2] + 1
-        lam[start - 1] = mu_pad[start - 1] + t_start
-        if start > 1 and lam[start - 2] < lam[start - 1]:
-            return None
-        if start < end and lam[start - 1] < lam[start]:
-            return None
-        return lam
-
-    def search(lam, start, block):
-        if block == segments - 1:
-            candidate = close_block(lam, start, r, sizes[block])
-            if candidate is not None and min(candidate) >= 1:
-                found.append(tuple(candidate))
-            return
-        for end in range(start, r - (segments - 1 - block) + 1):
-            if sum(d[start + 1 : end + 1]) > sizes[block] - 1:
-                break
-            candidate = close_block(lam, start, end, sizes[block])
-            if candidate is not None:
-                search(candidate, end + 1, block + 1)
-
-    search([0] * r, 1, 0)
-    valid = {cand for cand in found if strip_p_rim(cand, p) == (mu, a, r)}
-    if len(valid) != 1:
-        raise ValueError(f"no unique p-rim addition for {(mu, a, r)}: {sorted(valid)}")
-    return valid.pop()
+    m = list(mu) + [0] * (r - len(mu))
+    la, end = m[:], r  # end: the bottom row of the segment being placed
+    for size in [a - p * ((a - 1) // p)] + [p] * min((a - 1) // p, r):  # r rows fit at most r segments
+        start, given = end, 0  # given: what rows start+1..end give
+        while start > 1 and given + m[start - 2] - m[start - 1] + 1 < size:
+            given += m[start - 2] - m[start - 1] + 1
+            la[start - 1] = m[start - 2] + 1
+            start -= 1
+        la[start - 1] = m[start - 1] + size - given
+        end = start - 1
+        if end < 1:
+            break
+    if la != sorted(la, reverse=True) or strip_p_rim(tuple(la), p) != (mu, a, r):
+        raise ValueError(f"no unique p-rim addition for {(mu, a, r)}: []")
+    return tuple(la)
 
 
 def partition_from_symbol(symbol: MullineuxSymbol, p: int) -> Partition:
     """Rebuild the partition encoded by a Mullineux symbol."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     current: Partition = ()
     for a, r in zip(reversed(symbol.a), reversed(symbol.r)):
         current = _add_p_rim(current, a, r, p)

@@ -261,6 +261,12 @@ def test_lambda_membership():
         pb.in_lambda_set((8,) + (1,) * 7, 5, 1)  # 5-singular
 
 
+@pytest.mark.parametrize("runner", [0, -1, 6])
+def test_lambda_membership_rejects_runners_outside_1_to_p(runner):
+    with pytest.raises(ValueError, match=f"runner {runner} out of range for p=5"):
+        pb.in_lambda_set((5, 4, 3, 2, 1), 5, runner)
+
+
 def test_regular_restricted_partitions_restrict_somewhere():
     for p in (5, 7):
         exceptional = pb.from_3p(N3(1, 2), p)

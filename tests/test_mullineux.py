@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pblock as pb
 from pblock.blocks import BeadNotation
-from pblock.mullineux import p_rim, rim_hook_leg_sum, rim_path, strip_p_rim
+from pblock.mullineux import _add_p_rim, p_rim, rim_hook_leg_sum, rim_path, strip_p_rim
 from conftest import all_partitions_up_to, partitions, regular_partitions
 
 ROUND_TRIP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -76,6 +76,32 @@ def test_symbol_reconstruction_exhaustive():
                 assert pb.partition_from_symbol(pb.mullineux_symbol(la, p), p) == la
 
 
+def test_add_p_rim_inverts_the_strip_exhaustive():
+    # Every partition (singular ones too) comes back from its strip; every other
+    # triple (mu, a, r) is rejected, because no partition strips to it.
+    for p in (2, 3, 5, 7):
+        strips = set()
+        for la in all_partitions_up_to(18):
+            if la:
+                strip = strip_p_rim(la, p)
+                assert _add_p_rim(*strip, p) == la, (la, p)
+                strips.add(strip)
+        for mu in all_partitions_up_to(10):
+            for r in range(len(mu), len(mu) + 4):
+                for a in range(1, min(3 * p + 1, 18 - sum(mu)) + 1):
+                    if (mu, a, r) in strips:
+                        assert strip_p_rim(_add_p_rim(mu, a, r, p), p) == (mu, a, r)
+                    else:
+                        with pytest.raises(ValueError):
+                            _add_p_rim(mu, a, r, p)
+
+
+@pytest.mark.parametrize("a, r", [((0,), (1,)), ((2,), (-1,)), ((2.0,), (1,)), ((True,), (True,))])
+def test_symbol_entries_must_be_positive_integers(a, r):
+    with pytest.raises(ValueError, match="entries of a Mullineux symbol must be positive integers"):
+        pb.partition_from_symbol(pb.MullineuxSymbol(a, r), 5)
+
+
 @given(partitions(max_n=93), st.sampled_from(ROUND_TRIP_PRIMES))
 @settings(max_examples=150)
 def test_symbol_reconstruction(la, p):
@@ -107,12 +133,14 @@ def test_mullineux_rejects_singular():
         pb.mullineux((2, 2, 2, 2, 2), 5)
 
 
-@pytest.mark.parametrize("not_prime", [4, 9, 1])
+@pytest.mark.parametrize("not_prime", [4, 9, 1, 0])
 def test_mullineux_rejects_non_prime_p(not_prime):
     with pytest.raises(ValueError):
         pb.mullineux((5, 4), not_prime)
     with pytest.raises(ValueError):
         pb.mullineux_symbol((5, 4), not_prime)
+    with pytest.raises(ValueError, match=f"p must be a prime, got {not_prime}"):
+        pb.partition_from_symbol(pb.MullineuxSymbol((4,), (2,)), not_prime)
 
 
 def test_mullineux_involution_small_exhaustive():
