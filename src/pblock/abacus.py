@@ -52,6 +52,12 @@ def _runner_betas(p: int, counts, components) -> frozenset[int]:
     return frozenset(occupied)
 
 
+def _component(rows: tuple[int, ...]) -> Partition:
+    """Bead weights of one runner's ascending rows, bottom bead first."""
+    weights = [t - s for s, t in enumerate(rows, start=1)]
+    return tuple(w for w in reversed(weights) if w)
+
+
 @dataclass(frozen=True)
 class AbacusDisplay:
     """An immutable set of r occupied positions on p runners.
@@ -113,11 +119,7 @@ class AbacusDisplay:
 
     def components(self) -> tuple[Partition, ...]:
         """Bead weights per runner, bottom bead first: the left-to-right quotient."""
-        comps = []
-        for rows in self.rows:
-            weights = [t - s for s, t in enumerate(rows, start=1)]
-            comps.append(tuple(w for w in reversed(weights) if w))
-        return tuple(comps)
+        return tuple(map(_component, self.rows))
 
     def weight(self) -> int:
         """The p-weight: each runner's rows, less the rows 1..c its pushed-up beads fill."""
@@ -311,13 +313,16 @@ def reordered_quotient(la: Partition, p: int, r: int | None = None) -> tuple[PQu
     return _reordered(_quotient_display(la, p, r))
 
 
+def _pyramid(display: AbacusDisplay) -> Pyramid:
+    """The runners ordered by the first empty position of the pushed-up display."""
+    q = tuple(sorted(c * display.p + j for j, c in enumerate(display.counts(), start=1)))
+    return Pyramid(display.p, q, tuple(map(display.runner, q)))
+
+
 def _reordered(display: AbacusDisplay) -> tuple[PQuotient, Pyramid]:
-    first_empty = sorted((c * display.p + j, j) for j, c in enumerate(display.counts(), start=1))
-    q = tuple(pos for pos, _ in first_empty)
-    sigma = tuple(runner for _, runner in first_empty)
+    pyramid = _pyramid(display)
     ltr = display.components()
-    reordered = PQuotient(tuple(ltr[runner - 1] for runner in sigma), "reordered")
-    return reordered, Pyramid(display.p, q, sigma)
+    return PQuotient(tuple(ltr[runner - 1] for runner in pyramid.sigma), "reordered"), pyramid
 
 
 def is_jm_fayers(la: Partition, p: int) -> bool:
@@ -327,24 +332,29 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
     passes iff the interior components vanish, mu_1 is restricted and mu_p
     regular (both recursively passing), and the first row of mu_k plus the
     first column of mu_ell never exceeds B(k, ell) + 1.
+
+    A runner's component vanishes exactly when its last bead sits in the row
+    of its bead count, so only the two end components are built.  Once the
+    interior ones vanish, a pair (k, ell) with 1 < k < ell < p bounds 0 + 0
+    by B(k, ell) + 1, which holds because q ascends; so only the pairs with
+    k = 1 or ell = p are tested.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
     display = _quotient_display(la, p, None)
-    if display.weight() == 0:
+    # Weight 0: no bead can move up its runner.
+    if all(m - p in display.occupied for m in display.occupied if m > p):
         return True
-    quotient, pyramid = _reordered(display)
-    mu = quotient.components
-    if any(mu[i] for i in range(1, p - 1)):
+    pyramid = _pyramid(display)
+    rows = [display.rows[runner - 1] for runner in pyramid.sigma]
+    if any(beads and beads[-1] != len(beads) for beads in rows[1:-1]):
         return False
-    if not (is_p_restricted(mu[0], p) and is_jm_fayers(mu[0], p)):
+    first, last = _component(rows[0]), _component(rows[-1])
+    if not (is_p_restricted(first, p) and is_jm_fayers(first, p)):
         return False
-    if not (is_p_regular(mu[-1], p) and is_jm_fayers(mu[-1], p)):
+    if not (is_p_regular(last, p) and is_jm_fayers(last, p)):
         return False
-    for k in range(1, p):
-        for ell in range(k + 1, p + 1):
-            first_row = mu[k - 1][0] if mu[k - 1] else 0
-            first_col = len(mu[ell - 1])
-            if first_row + first_col > pyramid.entry(k, ell) + 1:
-                return False
-    return True
+    first_row, first_col = (first[0] if first else 0), len(last)
+    bounds = [(first_row, 1, ell) for ell in range(2, p)] + [(first_col, k, p) for k in range(2, p)]
+    bounds.append((first_row + first_col, 1, p))
+    return all(lhs <= pyramid.entry(k, ell) + 1 for lhs, k, ell in bounds)

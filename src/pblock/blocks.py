@@ -266,7 +266,7 @@ def theta(la: Partition, p: int, i: int) -> Partition:
     Defined whenever the <3^p> display has a removable bead on runner i,
     regular or not; the result lies in B_i.
     """
-    if not 1 <= i <= p:
+    if type(i) is not int or not 1 <= i <= p:
         raise ValueError(f"runner {i} out of range for p={p}")
     return _theta(_display_3p(la, p), i)
 
@@ -316,7 +316,7 @@ def sigma_partner(la: Partition, p: int, i: int) -> Partition:
 
 def in_lambda_set(la: Partition, p: int, i: int) -> bool:
     """Normal-bead test on runner i of the <3^p> display (p-regular input only)."""
-    if not 1 <= i <= p:
+    if type(i) is not int or not 1 <= i <= p:
         raise ValueError(f"runner {i} out of range for p={p}")
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")

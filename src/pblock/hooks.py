@@ -27,7 +27,7 @@ def hook_lengths(la: Partition) -> Diagram:
 
 def p_power_diagram(la: Partition, p: int) -> Diagram:
     """Tableau of p-adic valuations of the hook lengths."""
-    return [[p_adic_valuation(h, p) for h in row] for row in hook_lengths(la)]
+    return [[p_adic_valuation(h, p) if h % p == 0 else 0 for h in row] for row in hook_lengths(la)]
 
 
 def is_jm_direct(la: Partition, p: int) -> bool:
@@ -35,18 +35,20 @@ def is_jm_direct(la: Partition, p: int) -> bool:
 
     True iff for every node whose diagram entry is positive, either all
     entries in its row or all entries in its column coincide.  The quantifier
-    runs over all nodes, not only rim nodes.
+    runs over all nodes, not only rim nodes.  A diagram with no positive
+    entry (no hook length divisible by p) passes at once; otherwise only the
+    columns of positive entries in non-constant rows are compared.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
     powers = p_power_diagram(partition(la), p)
-    row_equal = [len(set(row)) <= 1 for row in powers]
-    col_equal = [len({row[j] for row in powers if j < len(row)}) <= 1
-                 for j in range(len(powers[0]) if powers else 0)]
-    for i, row in enumerate(powers):
-        for j, entry in enumerate(row):
-            if entry > 0 and not (row_equal[i] or col_equal[j]):
-                return False
+    if not any(map(any, powers)):
+        return True
+    for row in powers:
+        if min(row) != max(row):
+            for j, entry in enumerate(row):
+                if entry and len({other[j] for other in powers if j < len(other)}) > 1:
+                    return False
     return True
 
 

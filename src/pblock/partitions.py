@@ -16,7 +16,8 @@ Node = tuple[int, int]
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
+    """True for a prime ``int``; False for anything else, a float or a bool included."""
+    if type(p) is not int or p < 2:
         return False
     d = 2
     while d * d <= p:
@@ -76,10 +77,14 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def conjugate(la: Partition) -> Partition:
-    """Transpose of the Young diagram (column lengths)."""
-    if not la:
-        return ()
-    return tuple(sum(1 for part in la if part >= j) for j in range(1, la[0] + 1))
+    """Transpose of the Young diagram (column lengths).
+
+    One pass up the parts: row i, read from the bottom, ends columns of length i.
+    """
+    conj: list[int] = []
+    for i in range(len(la), 0, -1):
+        conj += [i] * (la[i - 1] - len(conj))
+    return tuple(conj)
 
 
 def dominates(la: Partition, mu: Partition) -> bool:

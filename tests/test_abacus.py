@@ -286,7 +286,7 @@ def test_jm_fayers_examples():
     with pytest.raises(ValueError):
         pb.is_jm_fayers((3, 1), 4)
     for oracle in (pb.is_jm_fayers, pb.is_jm_direct):
-        for not_odd_prime in (4, 9, 15, 1, 2):
+        for not_odd_prime in (4, 9, 15, 1, 2, 5.0):
             with pytest.raises(ValueError, match="needs an odd prime"):
                 oracle((5, 4), not_odd_prime)
 
@@ -295,6 +295,15 @@ def test_jm_oracles_agree_small():
     for p in (3, 5, 7):
         for la in all_partitions_up_to(16):
             assert pb.is_jm_fayers(la, p) == pb.is_jm_direct(la, p)
+
+
+@pytest.mark.parametrize("p, passing", [(3, 475), (5, 789), (7, 1326), (11, 2777)])
+def test_jm_oracles_pass_the_recorded_number_of_partitions(p, passing):
+    """Each oracle's own verdicts, so that a fault both share still shows."""
+    domain = list(all_partitions_up_to(22))
+    assert len(domain) == 4508
+    assert sum(pb.is_jm_direct(la, p) for la in domain) == passing
+    assert sum(pb.is_jm_fayers(la, p) for la in domain) == passing
 
 
 def test_render_shows_grid():

@@ -120,6 +120,12 @@ def test_require_block_prime():
     require_block_prime(11)
 
 
+@pytest.mark.parametrize("entry", [pb.to_3p, pb.loewy_length, pb.classify_3p])
+def test_block_entry_points_reject_a_float_prime(entry):
+    with pytest.raises(ValueError, match="p must be a prime at least 5, got 5.0"):
+        entry((5, 4, 3, 2, 1), 5.0)
+
+
 # ---------------------------------------------------------------------------
 # block enumeration
 # ---------------------------------------------------------------------------
@@ -261,10 +267,16 @@ def test_lambda_membership():
         pb.in_lambda_set((8,) + (1,) * 7, 5, 1)  # 5-singular
 
 
-@pytest.mark.parametrize("runner", [0, -1, 6])
+@pytest.mark.parametrize("runner", [0, -1, 6, 2.0])
 def test_lambda_membership_rejects_runners_outside_1_to_p(runner):
     with pytest.raises(ValueError, match=f"runner {runner} out of range for p=5"):
         pb.in_lambda_set((5, 4, 3, 2, 1), 5, runner)
+
+
+@pytest.mark.parametrize("runner", [0, -1, 6, 2.0])
+def test_theta_rejects_runners_outside_1_to_p(runner):
+    with pytest.raises(ValueError, match=f"runner {runner} out of range for p=5"):
+        pb.theta((5, 4, 3, 2, 1), 5, runner)
 
 
 def test_regular_restricted_partitions_restrict_somewhere():

@@ -133,11 +133,11 @@ def test_mullineux_rejects_singular():
         pb.mullineux((2, 2, 2, 2, 2), 5)
 
 
-@pytest.mark.parametrize("not_prime", [4, 9, 1, 0])
+@pytest.mark.parametrize("not_prime", [4, 9, 1, 0, 5.0])
 def test_mullineux_rejects_non_prime_p(not_prime):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"p must be a prime, got {not_prime}"):
         pb.mullineux((5, 4), not_prime)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"p must be a prime, got {not_prime}"):
         pb.mullineux_symbol((5, 4), not_prime)
     with pytest.raises(ValueError, match=f"p must be a prime, got {not_prime}"):
         pb.partition_from_symbol(pb.MullineuxSymbol((4,), (2,)), not_prime)

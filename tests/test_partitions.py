@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
+from pblock.partitions import is_prime
 from conftest import all_partitions_up_to, partitions, primes_small
 
 
@@ -62,6 +63,11 @@ def test_partition_rejects_bad_shapes(bad):
 def test_partition_rejects_non_integer_parts(bad):
     with pytest.raises(ValueError, match="integer"):
         pb.partition(bad)
+
+
+@pytest.mark.parametrize("not_int", [5.0, 7.0, "5"])
+def test_is_prime_is_false_off_the_integers(not_int):
+    assert not is_prime(not_int)
 
 
 def test_parse_and_format():
