@@ -16,7 +16,9 @@ rows itself.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import sub
 
 from .partitions import (
     Node,
@@ -35,8 +37,9 @@ def default_bead_count(la: Partition, p: int) -> int:
 
 def _decode_betas(betas, r: int) -> Partition:
     """Parts of the r-bead display ``betas``; a partition by construction."""
-    parts = (b - r + i for i, b in enumerate(sorted(betas, reverse=True)))
-    return tuple(part for part in parts if part)
+    # Ascending, the k-th bead carries part b_k - k, so the zero parts come first.
+    parts = list(map(sub, sorted(betas), range(1, r + 1)))
+    return tuple(parts[bisect_right(parts, 0):][::-1])
 
 
 def _runner_betas(p: int, counts, components) -> frozenset[int]:
@@ -92,14 +95,9 @@ class AbacusDisplay:
         betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
         return cls(p, r, frozenset(betas))
 
-    @classmethod
-    def from_runners(cls, p: int, counts, components) -> "AbacusDisplay":
-        """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-        return cls(p, sum(counts), _runner_betas(p, counts, components))
-
     @staticmethod
     def partition_from_runners(p: int, counts, components) -> Partition:
-        """``from_runners(p, counts, components).to_partition()``, without building the display."""
+        """The partition with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
         return _decode_betas(_runner_betas(p, counts, components), sum(counts))
 
     def to_partition(self) -> Partition:

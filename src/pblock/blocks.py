@@ -15,9 +15,8 @@ import functools
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator
 
-from .abacus import AbacusDisplay, default_bead_count, is_jm_fayers, p_core, p_weight
+from .abacus import AbacusDisplay, _decode_betas, default_bead_count, is_jm_fayers, p_core
 from .partitions import (
     Partition,
     add_node,
@@ -183,32 +182,50 @@ def in_block(la: Partition, label: BlockLabel) -> bool:
     return sum(la) == label.n and p_core(la, label.p) == label.core
 
 
-def _component_tuples(p: int, w: int) -> Iterator[tuple[Partition, ...]]:
-    if p == 0:
-        if w == 0:
-            yield ()
+def _bead_moves(p: int, counts, shapes, w: int, first: int = 1):
+    """Each way to move beads on runners >= ``first`` by w rows in all, as (vacated, filled) positions.
+
+    A nonempty component kappa on runner j moves the t-th lowest of its
+    ``counts[j-1]`` beads kappa_t rows down; runners with an empty component
+    are never visited.
+    """
+    if w == 0:
+        yield (), ()
         return
-    for size in range(w + 1):
-        for head in partitions_of(size):
-            for tail in _component_tuples(p - 1, w - size):
-                yield (head,) + tail
+    for j in range(first, p + 1):
+        c = counts[j - 1]
+        for size in range(1, w + 1):
+            for kappa in shapes[size]:
+                vacated = tuple((c - t) * p + j for t in range(1, len(kappa) + 1))
+                filled = tuple((c - t + part) * p + j for t, part in enumerate(kappa, start=1))
+                for rest_vacated, rest_filled in _bead_moves(p, counts, shapes, w - size, j + 1):
+                    yield vacated + rest_vacated, filled + rest_filled
 
 
 def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     """All partitions with the label's core and weight, descending lex.
 
-    Generated constructively from tuples of runner components; the bead count
-    grows (p beads at a time, one more per runner) until every runner can hold
-    a full-weight component.
+    Each member is the core's pushed-up display with at most ``weight`` beads
+    moved down their runners, one way per p-multipartition of the weight (the
+    p-quotient of the member).  The bead count first grows (p beads at a time,
+    one more per runner) until every runner holds ``weight`` beads, so every
+    component fits.
     """
-    p = label.p
+    p, w = label.p, label.weight
     display = AbacusDisplay.from_partition(label.core, p, default_bead_count(label.core, p))
     if any(display.components()):
         raise ValueError(f"{label.core} is not a {p}-core")
-    extra = max(0, label.weight - min(display.counts()))
+    extra = max(0, w - min(display.counts()))
     counts = tuple(c + extra for c in display.counts())
-    out = [AbacusDisplay.partition_from_runners(p, counts, comps)
-           for comps in _component_tuples(p, label.weight)]
+    r = sum(counts)
+    rest = frozenset((t - 1) * p + j for j, c in enumerate(counts, start=1) for t in range(1, c + 1))
+    shapes = {size: tuple(partitions_of(size)) for size in range(1, w + 1)}
+    out = []
+    for vacated, filled in _bead_moves(p, counts, shapes, w):
+        betas = rest.difference(vacated).union(filled)
+        if len(betas) != r:
+            raise RuntimeError(f"bead moves {vacated} -> {filled} collided in {label}")
+        out.append(_decode_betas(betas, r))
     if len(set(out)) != len(out):
         raise RuntimeError(f"component tuples collided for {label}")
     return tuple(sorted(out, reverse=True))
@@ -290,15 +307,23 @@ def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
 
     These are the partitions obtained by adding an addable node of residue
     i - 1 to ``la_tilde``; there are two of them for i >= 2 and three for i = 1.
+    Each lies in the principal block: see :func:`_partners`.
     """
-    label = restriction_block(p, i)
-    if not in_block(la_tilde, label):
+    if not in_block(la_tilde, restriction_block(p, i)):
         raise ValueError(f"{la_tilde} is not in B_{i} for p={p}")
+    return _partners(la_tilde, p, i)
+
+
+def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
+    """:func:`partners` for a member of B_i, unchecked.
+
+    B_i's residue content is the principal block's less one node of residue
+    i - 1, so adding such a node gives the principal block's content, and
+    content decides the block (Nakayama): no result needs a core test.
+    """
     res = (i - 1) % p
-    out = [add_node(la_tilde, node)
-           for node in addable_nodes(la_tilde) if residue(node, p) == res]
-    out = [mu for mu in out if p * p_weight(mu, p) == sum(mu)]  # empty p-core
-    return tuple(sorted(out, reverse=True))
+    return tuple(sorted((add_node(la_tilde, node) for node in addable_nodes(la_tilde)
+                         if residue(node, p) == res), reverse=True))
 
 
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .abacus import rim_hook_leg_sum
 from .partitions import (
-    Node,
     Partition,
     good_nodes,
     is_p_regular,
@@ -25,38 +24,11 @@ from .partitions import (
 )
 
 
-def rim_path(la: Partition) -> list[Node]:
-    """Rim cells from (1, la_1) to the bottom-left, in walk order."""
-    cells = []
-    k = len(la)
-    for i in range(1, k + 1):
-        hi = la[i - 1]
-        lo = max(la[i] if i < k else 0, 1)
-        cells.extend((i, j) for j in range(hi, lo - 1, -1))
-    return cells
-
-
-def p_rim(la: Partition, p: int) -> list[Node]:
-    """The cells stripped by one p-rim removal, in walk order."""
-    chosen = []
-    need = p
-    skipping_row = 0
-    for i, j in rim_path(la):
-        if i == skipping_row:
-            continue
-        chosen.append((i, j))
-        need -= 1
-        if need == 0:
-            skipping_row = i
-            need = p
-    return chosen
-
-
 def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
     """Remove the p-rim; returns (smaller partition, cells removed, rows of ``la``)."""
     if not la:
         raise ValueError("cannot strip the empty partition")
-    taken, need = [], p  # cells the walk of p_rim takes per row; cells its open segment lacks
+    taken, need = [], p  # cells the walk takes per row; cells its open segment lacks
     for part, below in zip(la, la[1:] + (0,)):
         take = min(part - max(below, 1) + 1, need)  # row i offers la_i - max(la_{i+1}, 1) + 1
         taken.append(take)

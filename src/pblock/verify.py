@@ -15,6 +15,7 @@ from types import MappingProxyType
 from .abacus import AbacusDisplay, is_jm_fayers, p_weight
 from .blocks import (
     BeadNotation,
+    _partners,
     _theta,
     classify_3p,
     counts_42,
@@ -343,12 +344,15 @@ def _induced_pairs(p: int, i: int) -> dict[BeadNotation, tuple[BeadNotation, Bea
 
 
 def check_partner_counts(p: int) -> str:
+    block = set(_principal_table(p).members)
     for i in range(1, p + 1):
         expected = 3 if i == 1 else 2
         for la_tilde in enumerate_block(restriction_block(p, i)):
-            found = partners(la_tilde, p, i)
+            found = _partners(la_tilde, p, i)
             if len(found) != expected:
                 _fail(la_tilde, f"{len(found)} partners over B_{i}, expected {expected}")
+            if not block.issuperset(found):
+                _fail(la_tilde, f"a partner over B_{i} lies outside the principal block")
     top = from_3p(_N3(p, p - 1), p)
     if sigma_partner(top, p, p) != from_3p(_N3(p - 1, p), p):
         _fail(top, "sigma partner of the <p,p-1> placement is off")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay
+from pblock.abacus import AbacusDisplay, _runner_betas
 from conftest import all_partitions_up_to, partitions
 
 
@@ -103,6 +103,11 @@ def test_bead_moves_are_value_ops():
         display.push_up(12)  # 7 occupied
 
 
+def from_runners(p, counts, components):
+    """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
+    return AbacusDisplay(p, sum(counts), _runner_betas(p, counts, components))
+
+
 def test_partition_from_runners_skips_the_display():
     counts = (4, 2, 3, 3, 3)
     for j in range(5):
@@ -110,14 +115,14 @@ def test_partition_from_runners_skips_the_display():
             comps = [()] * 5
             comps[j] = kappa
             if len(kappa) > counts[j]:
-                for build in (AbacusDisplay.from_runners, AbacusDisplay.partition_from_runners):
+                for build in (from_runners, AbacusDisplay.partition_from_runners):
                     with pytest.raises(ValueError, match="needs more than"):
                         build(5, counts, comps)
                 continue
-            display = AbacusDisplay.from_runners(5, counts, comps)
+            display = from_runners(5, counts, comps)
             assert AbacusDisplay.partition_from_runners(5, counts, comps) == display.to_partition()
             assert display.components()[j] == kappa
-    for build in (AbacusDisplay.from_runners, AbacusDisplay.partition_from_runners):
+    for build in (from_runners, AbacusDisplay.partition_from_runners):
         with pytest.raises(ValueError, match="expected 15 beads, got 14"):
             build(5, counts, [(0, 1), (), (), (), ()])  # a non-partition component collides
 

@@ -138,14 +138,31 @@ def test_enumerate_principal_block_members():
 
 
 def test_enumerate_matches_filter_oracle():
-    p = 5
-    brute = {la for la in pb.partitions_of(3 * p) if pb.p_core(la, p) == ()}
-    assert set(pb.enumerate_block(pb.principal_block(p))) == brute
-    for i in (1, 2, 4, 5):
-        label = pb.restriction_block(p, i)
-        brute = {la for la in pb.partitions_of(label.n)
-                 if pb.p_core(la, p) == label.core}
-        assert set(pb.enumerate_block(label)) == brute
+    # The principal block and every B_i, order included, against the core filter.
+    for p in (5, 7):
+        for label in [pb.principal_block(p)] + [pb.restriction_block(p, i) for i in range(1, p + 1)]:
+            brute = [la for la in pb.partitions_of(label.n) if pb.p_core(la, p) == label.core]
+            assert pb.enumerate_block(label) == tuple(sorted(brute, reverse=True)), label
+
+
+def test_enumerate_matches_filter_oracle_off_the_empty_core():
+    # A core whose display has a runner with fewer beads than the weight grows
+    # the bead count before any bead moves.
+    assert pb.AbacusDisplay.from_partition((2, 1), 5, 5).counts() == (1, 2, 1, 0, 1)
+    assert len(pb.enumerate_block(pb.BlockLabel(5, (2, 1), 3))) == 65
+    for p in (5, 7):
+        by_core = {}
+        for la in all_partitions_up_to(22):
+            by_core.setdefault((sum(la), pb.p_core(la, p)), []).append(la)
+        grown = 0
+        for core, w in product({core for _, core in by_core}, range(4)):
+            label = pb.BlockLabel(p, core, w)
+            if label.n <= 22:
+                brute = tuple(sorted(by_core[label.n, core], reverse=True))
+                assert pb.enumerate_block(label) == brute, label
+                display = pb.AbacusDisplay.from_partition(core, p, pb.default_bead_count(core, p))
+                grown += min(display.counts()) < w
+        assert grown >= 200, grown  # 208 blocks at p = 5, 297 at p = 7
 
 
 def test_weight_zero_block_is_its_core():
@@ -245,12 +262,16 @@ def test_principal_membership_errors():
 
 
 def test_partners_and_sigma():
+    # Nakayama: an added (i-1)-node turns B_i's residue content into the
+    # principal block's, so every partner lies in the principal block.
+    for p in (5, 7, 11):
+        block = set(pb.enumerate_block(pb.principal_block(p)))
+        for i in range(1, p + 1):
+            for la_tilde in pb.enumerate_block(pb.restriction_block(p, i)):
+                found = pb.partners(la_tilde, p, i)
+                assert len(found) == (3 if i == 1 else 2), (la_tilde, i)
+                assert block.issuperset(found), (la_tilde, i)
     p = 5
-    for i in range(2, p + 1):
-        for la_tilde in pb.enumerate_block(pb.defect2_block(p, i)):
-            assert len(pb.partners(la_tilde, p, i)) == 2
-    for la_tilde in pb.enumerate_block(pb.defect1_block(p)):
-        assert len(pb.partners(la_tilde, p, 1)) == 3
     assert pb.sigma_partner(pb.from_3p(N3(p, p - 1), p), p, p) == pb.from_3p(N3(p - 1, p), p)
     with pytest.raises(ValueError):
         pb.sigma_partner(pb.from_3p(N3(p - 1, p), p), p, p)  # the smaller partner

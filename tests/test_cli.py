@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,17 @@ def test_enumerate_principal(capsys):
     assert code == 0
     assert "15 " in out and "1,1,1,1,1,1,1,1,1,1,1,1,1,1,1" in out
     assert "(65 partitions)" in out
+
+
+@pytest.mark.parametrize("block, digest", [
+    ("principal", "7dcae1f4b1756602f99d50f6ad19eea496bd312abbd1d2a82dcdff82a91da849"),
+    ("B3", "71f92f8ecae72f67618293fd6cd94ad7b4e1d5bf04d2c515f40b00eaf5578143"),
+])
+def test_enumerate_json_is_byte_identical_to_the_recorded_output(capsys, block, digest):
+    # sha256 of the whole --json output at p = 7, recorded before the bead-move enumerator.
+    code, out, _ = run_cli(capsys, "enumerate", block, "--p", "7", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_jm_filter_on_b2(capsys):

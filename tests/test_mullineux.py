@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pblock as pb
 from pblock.blocks import BeadNotation
-from pblock.mullineux import _add_p_rim, p_rim, rim_hook_leg_sum, rim_path, strip_p_rim
+from pblock.mullineux import _add_p_rim, rim_hook_leg_sum, strip_p_rim
 from conftest import all_partitions_up_to, partitions, regular_partitions
 
 ROUND_TRIP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -20,6 +20,33 @@ def N3(*runners):
 # ---------------------------------------------------------------------------
 # p-rim stripping
 # ---------------------------------------------------------------------------
+
+def rim_path(la):
+    """Rim cells from (1, la_1) to the bottom-left, in walk order."""
+    cells = []
+    k = len(la)
+    for i in range(1, k + 1):
+        hi = la[i - 1]
+        lo = max(la[i] if i < k else 0, 1)
+        cells.extend((i, j) for j in range(hi, lo - 1, -1))
+    return cells
+
+
+def p_rim(la, p):
+    """The cells stripped by one p-rim removal, walked one by one: the reference for strip_p_rim."""
+    chosen = []
+    need = p
+    skipping_row = 0
+    for i, j in rim_path(la):
+        if i == skipping_row:
+            continue
+        chosen.append((i, j))
+        need -= 1
+        if need == 0:
+            skipping_row = i
+            need = p
+    return chosen
+
 
 def test_rim_path_order():
     assert rim_path((8, 6, 1)) == [

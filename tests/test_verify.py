@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+import pblock as pb
+from pblock import verify
 from pblock.verify import run_checks
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference", "verify.json")
@@ -26,3 +28,19 @@ def test_every_check_passes_at_29_then_31():
         failed = [(c.name, c.counterexample, c.detail) for c in run_checks(p).checks
                   if not c.passed]
         assert not failed, (p, failed)
+
+
+def test_partner_counts_fails_on_a_partner_outside_the_block(monkeypatch):
+    # The check, not a filter in the partner search, catches a partner that leaves the block.
+    real = verify._partners
+    target = pb.enumerate_block(pb.restriction_block(5, 2))[3]
+
+    def leaky(la_tilde, p, i):
+        found = real(la_tilde, p, i)
+        return found[:-1] + ((1,),) if la_tilde == target else found
+
+    monkeypatch.setattr(verify, "_partners", leaky)
+    (check,) = run_checks(5, ["partner-counts"]).checks
+    assert not check.passed
+    assert check.counterexample == pb.format_partition(target)
+    assert check.detail == "a partner over B_2 lies outside the principal block"
