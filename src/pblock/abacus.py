@@ -6,10 +6,9 @@ the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
 Each display sorts its beads into per-runner rows once, when it is built.
-Those rows, with the display methods that read them, are the only place the
-position <-> (runner, row) arithmetic lives: bead counts, the p-core, the
-quotient, the pyramid and the normal beads are all read off the rows, and
-code outside this module asks the display instead of computing runners or
+Bead counts, the p-core, the quotient, the pyramid and the normal beads are
+all read off those rows; only ``_is_jm_fayers`` builds rows without a display.
+Code outside this module asks the display instead of computing runners or
 rows itself.
 """
 
@@ -311,14 +310,14 @@ def reordered_quotient(la: Partition, p: int, r: int | None = None) -> tuple[PQu
     return _reordered(_quotient_display(la, p, r))
 
 
-def _pyramid(display: AbacusDisplay) -> Pyramid:
-    """The runners ordered by the first empty position of the pushed-up display."""
-    q = tuple(sorted(c * display.p + j for j, c in enumerate(display.counts(), start=1)))
-    return Pyramid(display.p, q, tuple(map(display.runner, q)))
+def _pyramid(p: int, counts) -> Pyramid:
+    """Runners, ``counts[j-1]`` beads on runner j, ordered by the first empty position."""
+    q = tuple(sorted(c * p + j for j, c in enumerate(counts, start=1)))
+    return Pyramid(p, q, tuple((m - 1) % p + 1 for m in q))
 
 
 def _reordered(display: AbacusDisplay) -> tuple[PQuotient, Pyramid]:
-    pyramid = _pyramid(display)
+    pyramid = _pyramid(display.p, display.counts())
     ltr = display.components()
     return PQuotient(tuple(ltr[runner - 1] for runner in pyramid.sigma), "reordered"), pyramid
 
@@ -330,27 +329,37 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
     passes iff the interior components vanish, mu_1 is restricted and mu_p
     regular (both recursively passing), and the first row of mu_k plus the
     first column of mu_ell never exceeds B(k, ell) + 1.
-
-    A runner's component vanishes exactly when its last bead sits in the row
-    of its bead count, so only the two end components are built.  Once the
-    interior ones vanish, a pair (k, ell) with 1 < k < ell < p bounds 0 + 0
-    by B(k, ell) + 1, which holds because q ascends; so only the pairs with
-    k = 1 or ell = p are tested.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
-    display = _quotient_display(la, p, None)
-    # Weight 0: no bead can move up its runner.
-    if all(m - p in display.occupied for m in display.occupied if m > p):
+    return _is_jm_fayers(partition(la), p)
+
+
+def _is_jm_fayers(la: Partition, p: int) -> bool:
+    """:func:`is_jm_fayers` for a partition and an odd prime, unchecked.
+
+    The z = r - len(la) zero-part beads of the r-bead display (``default_bead_count``)
+    fill positions 1..z, all in row 1, so weight 0 is tested on the part beads alone and
+    only they are placed.  An interior component vanishes iff its last bead sits in the row
+    of its bead count; then each pair 1 < k < ell < p bounds 0 by B(k, ell) + 1 >= 1.
+    """
+    r = default_bead_count(la, p)
+    z = r - len(la)
+    betas = [part + r - i for i, part in enumerate(la)]
+    occupied = set(betas)
+    if all(m - p <= z or m - p in occupied for m in betas):
         return True
-    pyramid = _pyramid(display)
-    rows = [display.rows[runner - 1] for runner in pyramid.sigma]
+    rows = [[1] if j < z else [] for j in range(p)]
+    for m in reversed(betas):
+        rows[(m - 1) % p].append((m - 1) // p + 1)
+    pyramid = _pyramid(p, map(len, rows))
+    rows = [rows[runner - 1] for runner in pyramid.sigma]
     if any(beads and beads[-1] != len(beads) for beads in rows[1:-1]):
         return False
     first, last = _component(rows[0]), _component(rows[-1])
-    if not (is_p_restricted(first, p) and is_jm_fayers(first, p)):
+    if not (is_p_restricted(first, p) and _is_jm_fayers(first, p)):
         return False
-    if not (is_p_regular(last, p) and is_jm_fayers(last, p)):
+    if not (is_p_regular(last, p) and _is_jm_fayers(last, p)):
         return False
     first_row, first_col = (first[0] if first else 0), len(last)
     bounds = [(first_row, 1, ell) for ell in range(2, p)] + [(first_col, k, p) for k in range(2, p)]

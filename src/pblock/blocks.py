@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .abacus import AbacusDisplay, _decode_betas, default_bead_count, is_jm_fayers, p_core
+from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, default_bead_count, p_core
 from .partitions import (
     Partition,
     add_node,
@@ -354,7 +354,7 @@ def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:
     if not 2 <= i <= p:
         raise ValueError(f"need 2 <= i <= p, got {i}")
     counts = counts_42(p, i)
-    hits = [la for la in enumerate_block(defect2_block(p, i)) if is_jm_fayers(la, p)]
+    hits = [la for la in enumerate_block(defect2_block(p, i)) if _is_jm_fayers(la, p)]
     return tuple(encode_notation(la, p, counts) for la in hits)
 
 

@@ -19,10 +19,12 @@ def p_adic_valuation(h: int, p: int) -> int:
 
 
 def hook_lengths(la: Partition) -> Diagram:
-    """Tableau of shape ``la`` whose (i, j) entry is the (i, j)-hook length."""
-    conj = conjugate(la)
-    return [[la[i] - (i + 1) + conj[j] - (j + 1) + 1 for j in range(la[i])]
-            for i in range(len(la))]
+    """Tableau of shape ``la`` whose (i, j) entry is the (i, j)-hook length.
+
+    With 0-based i and j it is ``(la[i] - i - 1) + (la'[j] - j)``: one map per row.
+    """
+    legs = [c - j for j, c in enumerate(conjugate(la))]
+    return [list(map((part - i - 1).__add__, legs[:part])) for i, part in enumerate(la)]
 
 
 def p_power_diagram(la: Partition, p: int) -> Diagram:
@@ -35,15 +37,26 @@ def is_jm_direct(la: Partition, p: int) -> bool:
 
     True iff for every node whose diagram entry is positive, either all
     entries in its row or all entries in its column coincide.  The quantifier
-    runs over all nodes, not only rim nodes.  A diagram with no positive
-    entry (no hook length divisible by p) passes at once; otherwise only the
-    columns of positive entries in non-constant rows are compared.
+    runs over all nodes, not only rim nodes.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
-    powers = p_power_diagram(partition(la), p)
-    if not any(map(any, powers)):
+    return _is_jm_direct(partition(la), p)
+
+
+def _is_jm_direct(la: Partition, p: int) -> bool:
+    """:func:`is_jm_direct` for a partition and an odd prime, unchecked.
+
+    It passes at once when the largest hook, h(1,1) = la_1 + len(la) - 1, is below p,
+    or when no hook length is divisible by p.  Otherwise only the columns of positive
+    entries in non-constant rows are compared.
+    """
+    if not la or la[0] + len(la) - 1 < p:
         return True
+    hooks = hook_lengths(la)
+    if all(0 not in map(p.__rmod__, row) for row in hooks):
+        return True
+    powers = [[p_adic_valuation(h, p) if h % p == 0 else 0 for h in row] for row in hooks]
     for row in powers:
         if min(row) != max(row):
             for j, entry in enumerate(row):

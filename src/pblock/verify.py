@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
 
-from .abacus import AbacusDisplay, is_jm_fayers, p_weight
+from .abacus import AbacusDisplay, _is_jm_fayers, p_weight
 from .blocks import (
     BeadNotation,
     _partners,
@@ -34,7 +34,7 @@ from .blocks import (
     tau_p,
     theta,
 )
-from .hooks import is_jm_direct
+from .hooks import _is_jm_direct
 from .mullineux import (
     MullineuxSymbol,
     _good_nodes_pair_off,
@@ -47,6 +47,7 @@ from .partitions import (
     format_partition,
     is_p_regular,
     is_p_restricted,
+    is_prime,
     normal_nodes,
     partitions_of,
     remove_node,
@@ -105,7 +106,7 @@ def _principal_table(p: int) -> _PrincipalTable:
 def check_jm_classification(p: int) -> str:
     block = _principal_table(p).members
     expected = {(3 * p,), (1,) * (3 * p)}
-    passing = {la for la in block if is_jm_fayers(la, p)}
+    passing = {la for la in block if _is_jm_fayers(la, p)}
     if passing != expected:
         _fail(sorted(passing ^ expected)[0], "quotient test passes off the expected pair")
     return f"{len(block)} partitions; only the row and column pass"
@@ -402,11 +403,13 @@ def check_loewy_partition(p: int) -> str:
 
 
 def check_oracle_equivalence(p: int, max_n: int = 28) -> str:
+    if p == 2 or not is_prime(p):
+        raise ValueError("the test needs an odd prime p")
     checked = 0
     for n in range(max_n + 1):
         for la in partitions_of(n):
             checked += 1
-            if is_jm_direct(la, p) != is_jm_fayers(la, p):
+            if _is_jm_direct(la, p) != _is_jm_fayers(la, p):
                 _fail(la, "power-diagram and quotient tests disagree")
     return f"both irreducibility tests agree on {checked} partitions (n <= {max_n})"
 

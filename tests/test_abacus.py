@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, _runner_betas
+from pblock.abacus import AbacusDisplay, _is_jm_fayers, _runner_betas
+from pblock.hooks import _is_jm_direct
 from conftest import all_partitions_up_to, partitions
 
 
@@ -302,13 +303,22 @@ def test_jm_oracles_agree_small():
             assert pb.is_jm_fayers(la, p) == pb.is_jm_direct(la, p)
 
 
-@pytest.mark.parametrize("p, passing", [(3, 475), (5, 789), (7, 1326), (11, 2777)])
+@pytest.mark.parametrize("p, passing", [(3, 475), (5, 789), (7, 1326), (11, 2777), (13, 3441),
+                                        (17, 4223)])
 def test_jm_oracles_pass_the_recorded_number_of_partitions(p, passing):
     """Each oracle's own verdicts, so that a fault both share still shows."""
     domain = list(all_partitions_up_to(22))
     assert len(domain) == 4508
     assert sum(pb.is_jm_direct(la, p) for la in domain) == passing
     assert sum(pb.is_jm_fayers(la, p) for la in domain) == passing
+
+
+def test_unchecked_oracles_match_the_public_ones():
+    domain = list(all_partitions_up_to(20))
+    for p in (3, 5, 7, 11, 13, 23):
+        for la in domain:
+            assert _is_jm_direct(la, p) == pb.is_jm_direct(la, p), (la, p)
+            assert _is_jm_fayers(la, p) == pb.is_jm_fayers(la, p), (la, p)
 
 
 def test_render_shows_grid():

@@ -38,6 +38,12 @@ def test_hook_formula_matches_counting(la):
             assert h == hook_by_counting(la, (i, j))
 
 
+def test_hook_diagram_matches_counting_exhaustive():
+    for la in all_partitions_up_to(14):
+        assert pb.hook_lengths(la) == [[hook_by_counting(la, (i, j)) for j in range(1, part + 1)]
+                                       for i, part in enumerate(la, start=1)], la
+
+
 def test_hook_multiset_conjugation_invariant_exhaustive():
     for la in all_partitions_up_to(25):
         mine = Counter(h for row in pb.hook_lengths(la) for h in row)

@@ -44,3 +44,30 @@ def test_partner_counts_fails_on_a_partner_outside_the_block(monkeypatch):
     assert not check.passed
     assert check.counterexample == pb.format_partition(target)
     assert check.detail == "a partner over B_2 lies outside the principal block"
+
+
+@pytest.mark.parametrize("not_odd_prime", [2, 9, 5.0])
+def test_oracle_equivalence_rejects_a_prime_the_oracles_do_not_cover(not_odd_prime):
+    with pytest.raises(ValueError, match="needs an odd prime"):
+        verify.check_oracle_equivalence(not_odd_prime)
+
+
+def test_oracle_equivalence_fails_when_one_oracle_flips(monkeypatch):
+    real = verify._is_jm_fayers
+    target = (6, 4, 2, 2, 1, 1)
+    monkeypatch.setattr(verify, "_is_jm_fayers",
+                        lambda la, p: real(la, p) != (la == target))
+    (check,) = run_checks(5, ["oracle-equivalence"]).checks
+    assert not check.passed
+    assert check.counterexample == pb.format_partition(target)
+    assert check.detail == "power-diagram and quotient tests disagree"
+
+
+def test_jm_classification_fails_when_a_third_partition_passes(monkeypatch):
+    real = verify._is_jm_fayers
+    extra = (3 * 5 - 1, 1)
+    monkeypatch.setattr(verify, "_is_jm_fayers", lambda la, p: la == extra or real(la, p))
+    (check,) = run_checks(5, ["jm-classification"]).checks
+    assert not check.passed
+    assert check.counterexample == pb.format_partition(extra)
+    assert check.detail == "quotient test passes off the expected pair"
