@@ -7,7 +7,8 @@ beta-number is 1.
 
 Each display sorts its beads into per-runner rows once, when it is built.
 Bead counts, the p-core, the quotient, the pyramid and the normal beads are
-all read off those rows; only ``_is_jm_fayers`` builds rows without a display.
+all read off those rows; only ``_is_jm_fayers`` and ``_p_weight`` read runners
+without a display.
 Code outside this module asks the display instead of computing runners or
 rows itself.
 """
@@ -32,6 +33,12 @@ from .partitions import (
 def default_bead_count(la: Partition, p: int) -> int:
     """Least multiple of p that accommodates the parts of ``la`` (at least p)."""
     return p * max(1, -(-len(la) // p))
+
+
+def _require_runners(p) -> None:
+    """An abacus needs an ``int`` number of runners, at least 2 (a bool or a float is refused)."""
+    if type(p) is not int or p < 2:
+        raise ValueError(f"p must be an integer at least 2, got {p}")
 
 
 def _decode_betas(betas, r: int) -> Partition:
@@ -73,8 +80,7 @@ class AbacusDisplay:
     rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
+        _require_runners(self.p)
         if len(self.occupied) != self.r:
             raise ValueError(f"expected {self.r} beads, got {len(self.occupied)}")
         ordered = sorted(self.occupied)
@@ -87,6 +93,7 @@ class AbacusDisplay:
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
+        _require_runners(p)
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
         la = partition(la)
@@ -254,7 +261,25 @@ def p_core(la: Partition, p: int) -> Partition:
 
 
 def p_weight(la: Partition, p: int) -> int:
-    return AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).weight()
+    _require_runners(p)
+    return _p_weight(partition(la), p)
+
+
+def _p_weight(la: Partition, p: int) -> int:
+    """:func:`p_weight` for a partition and an ``int`` p >= 2, unchecked.
+
+    :meth:`AbacusDisplay.weight` read off the part beads alone: with r = ``default_bead_count``,
+    the z = r - len(la) zero-part beads sit in row 1 of runners 1..z, as in ``_is_jm_fayers``.
+    """
+    r = default_bead_count(la, p)
+    z = r - len(la)
+    counts = [1] * z + [0] * (p - z)
+    rows = z
+    for i, part in enumerate(la):
+        row, j = divmod(part + r - i - 1, p)
+        counts[j] += 1
+        rows += row + 1
+    return rows - sum(c * (c + 1) // 2 for c in counts)
 
 
 def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:

@@ -109,6 +109,11 @@ def counts_42(p: int, i: int) -> tuple[int, ...]:
     return (3,) * (i - 2) + (4, 2) + (3,) * (p - i)
 
 
+def counts_3p(p: int, i: int) -> tuple[int, ...]:
+    """Bead counts of B_i (1 <= i <= p) on the 3p-bead display: ``counts_42``, or <2, 3^(p-2), 4> for B_1."""
+    return counts_42(p, i) if i != 1 else (2,) + (3,) * (p - 2) + (4,)
+
+
 def counts_223(p: int, s: int) -> tuple[int, ...]:
     """Bead counts <2, 3^(p-s), 2^(s-2), 3> of the (3p-s+1)-bead display for B_s."""
     if not 2 <= s <= p:
@@ -289,17 +294,25 @@ def theta(la: Partition, p: int, i: int) -> Partition:
 
 
 def _theta(display: AbacusDisplay, i: int) -> Partition:
-    """:func:`theta` on the <3^p> display of a principal-block partition, runner i in range."""
-    removable = display.removable_beads()
-    beads = [m for m in display.beads_on_runner(i) if m in removable]
+    """:func:`theta` on the <3^p> display of a principal-block partition, runner i in range.
+
+    Moves the one removable bead m on runner i to m - 1.  The image lies in B_i iff the
+    3p-bead display then has B_i's runner counts (:func:`counts_3p`), which fix the core.
+    """
+    p, occupied = display.p, display.occupied
+    beads = [m for m in ((t - 1) * p + i for t in display.rows[i - 1])
+             if m > 1 and m - 1 not in occupied]
     if not beads:
         raise ValueError(f"{display.to_partition()} has no removable bead on runner {i}")
     if len(beads) > 1:
         raise RuntimeError(f"{display.to_partition()} has several removable beads on runner {i}: {beads}")
-    pushed = display.push_left(beads[0])
-    if pushed.core() != restriction_block(display.p, i).core:
+    counts = list(map(len, display.rows))
+    counts[i - 1] -= 1
+    counts[i - 2] += 1  # runner i - 1, or runner p for i = 1
+    if tuple(counts) != counts_3p(p, i):
         raise RuntimeError(f"restriction of {display.to_partition()} left the expected block B_{i}")
-    return pushed.to_partition()
+    m = beads[0]
+    return _decode_betas(occupied - {m} | {m - 1}, display.r)
 
 
 def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:

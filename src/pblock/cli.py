@@ -8,8 +8,8 @@ import re
 import sys
 
 from . import abacus, blocks, hooks, verify
-from .mullineux import mullineux as mullineux_image
-from .mullineux import MullineuxSymbol, mullineux_symbol, parity
+from .mullineux import mullineux as mullineux_image  # noqa: F401  (bench/test_bench.py checks its tracing)
+from .mullineux import MullineuxSymbol, _flipped_image, mullineux_symbol, parity
 from .partitions import (
     addable_nodes,
     conjugate,
@@ -93,8 +93,9 @@ def _inspect_record(la, p: int) -> dict:
         "good_nodes": [list(n) for n in good_nodes(la, p)],
     }
     if record["p_regular"]:
-        record["mullineux"] = list(mullineux_image(la, p))
-        record["mullineux_symbol"] = mullineux_symbol(la, p).to_json_dict()
+        symbol = mullineux_symbol(la, p)
+        record["mullineux"] = list(_flipped_image(symbol.a, symbol.r, p))
+        record["mullineux_symbol"] = symbol.to_json_dict()
     if in_principal:
         length, reason = blocks.loewy_length_detail(la, p)
         record["notation"] = str(blocks.to_3p(la, p))

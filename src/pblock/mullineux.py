@@ -11,6 +11,7 @@ replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, sub
 
 from .abacus import rim_hook_leg_sum
 from .partitions import (
@@ -33,7 +34,10 @@ def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
         take = min(part - max(below, 1) + 1, need)  # row i offers la_i - max(la_{i+1}, 1) + 1
         taken.append(take)
         need = need - take or p  # a filled segment restarts with the next row
-    return partition(part - t for part, t in zip(la, taken)), sum(taken), len(la)
+    parts = list(map(sub, la, taken))
+    if not all(map(ge, parts, parts[1:])):
+        raise ValueError(f"{tuple(parts)} is not a partition: parts not weakly decreasing")
+    return tuple(parts[:len(parts) - parts.count(0)]), sum(taken), len(la)
 
 
 @dataclass(frozen=True)
@@ -59,20 +63,30 @@ class MullineuxSymbol:
         return {"a": list(self.a), "r": list(self.r)}
 
 
-def mullineux_symbol(la: Partition, p: int) -> MullineuxSymbol:
-    """Strip p-rims down to the empty partition, recording sizes and row counts."""
+def _regular(la: Partition, p: int) -> Partition:
+    """``la`` as a partition, once p is a prime and ``la`` is p-regular: the input boundary."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     la = partition(la)
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
+    return la
+
+
+def mullineux_symbol(la: Partition, p: int) -> MullineuxSymbol:
+    """Strip p-rims down to the empty partition, recording sizes and row counts."""
+    return MullineuxSymbol(*_symbol_rows(_regular(la, p), p))
+
+
+def _symbol_rows(la: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows (a, r) of ``la``'s Mullineux symbol, unchecked."""
     sizes, rows = [], []
     current = la
     while current:
         current, a, k = strip_p_rim(current, p)
         sizes.append(a)
         rows.append(k)
-    return MullineuxSymbol(tuple(sizes), tuple(rows))
+    return tuple(sizes), tuple(rows)
 
 
 def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
@@ -97,7 +111,7 @@ def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
         end = start - 1
         if end < 1:
             break
-    if la != sorted(la, reverse=True) or strip_p_rim(tuple(la), p) != (mu, a, r):
+    if not all(map(ge, la, la[1:])) or strip_p_rim(tuple(la), p) != (mu, a, r):
         raise ValueError(f"no unique p-rim addition for {(mu, a, r)}: []")
     return tuple(la)
 
@@ -114,9 +128,23 @@ def partition_from_symbol(symbol: MullineuxSymbol, p: int) -> Partition:
 
 def mullineux(la: Partition, p: int) -> Partition:
     """The Mullineux image: same rim sizes, row counts a_j - r_j (+1 unless p | a_j)."""
-    symbol = mullineux_symbol(la, p)
-    flipped = tuple(a - r + (1 if a % p else 0) for a, r in zip(symbol.a, symbol.r))
-    return partition_from_symbol(MullineuxSymbol(symbol.a, flipped), p)
+    return _mullineux(_regular(la, p), p)
+
+
+def _mullineux(la: Partition, p: int) -> Partition:
+    """:func:`mullineux` for a p-regular partition and a prime p, unchecked."""
+    return _flipped_image(*_symbol_rows(la, p), p)
+
+
+def _flipped_image(sizes, rows, p: int) -> Partition:
+    """The Mullineux image of the partition whose symbol has rows ``sizes`` and ``rows``.
+
+    Rebuilds from the flipped symbol through ``_add_p_rim``, whose re-strip checks each step.
+    """
+    current: Partition = ()
+    for a, r in zip(reversed(sizes), reversed(rows)):
+        current = _add_p_rim(current, a, a - r + (1 if a % p else 0), p)
+    return current
 
 
 def parity(la: Partition, p: int) -> int:
@@ -146,6 +174,6 @@ def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:
         mirror = image_goods.get(-residue(node, p) % p)
         if mirror is None:
             return False
-        if mullineux(smaller, p) != remove_node(image, mirror):
+        if _mullineux(smaller, p) != remove_node(image, mirror):
             return False
     return True

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
 
-from .abacus import AbacusDisplay, _is_jm_fayers, p_weight
+from .abacus import AbacusDisplay, _is_jm_fayers, _p_weight
 from .blocks import (
     BeadNotation,
     _partners,
@@ -38,6 +38,7 @@ from .hooks import _is_jm_direct
 from .mullineux import (
     MullineuxSymbol,
     _good_nodes_pair_off,
+    _mullineux,
     mullineux,
     mullineux_symbol,
     parity,
@@ -96,7 +97,7 @@ def _principal_table(p: int) -> _PrincipalTable:
     regular = tuple(la for la in members if is_p_regular(la, p))
     return _PrincipalTable(members, regular,
                            tuple(la for la in regular if is_p_restricted(la, p)),
-                           MappingProxyType({la: mullineux(la, p) for la in regular}))
+                           MappingProxyType({la: _mullineux(la, p) for la in regular}))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def check_lemma34(p: int) -> str:
         witnesses = []
         for node in removable_nodes(la):
             smaller = remove_node(la, node)
-            if (p_weight(smaller, p) == 2 and is_p_regular(smaller, p)
+            if (_p_weight(smaller, p) == 2 and is_p_regular(smaller, p)
                     and is_p_restricted(smaller, p)):
                 witnesses.append(node)
         if not witnesses:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, _is_jm_fayers, _runner_betas
+from pblock.abacus import AbacusDisplay, _is_jm_fayers, _p_weight, _runner_betas
 from pblock.hooks import _is_jm_direct
 from conftest import all_partitions_up_to, partitions
 
@@ -150,6 +150,23 @@ def test_weight_reads_the_runner_rows():
     for la in pb.enumerate_block(pb.principal_block(11)):
         display = AbacusDisplay.from_partition(la, 11, 33)
         assert display.weight() == 3 and display.core() == ()
+
+
+def test_unchecked_weight_matches_the_display_weight():
+    # _p_weight places only the part beads; the display it replaces is the reference.
+    domain = list(all_partitions_up_to(20))
+    for p in (2, 3, 5, 7, 11):
+        for la in domain:
+            display = AbacusDisplay.from_partition(la, p, pb.default_bead_count(la, p))
+            assert _p_weight(la, p) == display.weight(), (la, p)
+
+
+@pytest.mark.parametrize("entry", [pb.p_core, pb.p_weight, pb.p_quotient, pb.rim_hook_removals,
+                                   pb.parity])
+@pytest.mark.parametrize("p", [5.0, 7.0])
+def test_abacus_entry_points_reject_a_float_p(entry, p):
+    with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
+        entry((3, 1), p)
 
 
 def test_rim_hook_removals_worked_examples():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import pblock as pb
 from pblock.blocks import (
     BeadNotation,
+    _theta,
+    counts_3p,
     counts_42,
     counts_223,
     in_block,
@@ -105,12 +107,16 @@ def test_decode_then_encode_is_identity_on_weight_2(case, data):
 
 
 def test_defect2_counts_match_core_displays():
-    for p in (5, 7):
+    for p in (5, 7, 11):
         for i in range(2, p + 1):
             core = pb.defect2_block(p, i).core
             assert pb.p_core(core, p) == core
             for counts, r in ((counts_42(p, i), 3 * p), (counts_223(p, i), 3 * p - i + 1)):
                 assert counts == pb.AbacusDisplay.from_partition(core, p, r).counts()
+        # _theta's B_1..B_p postcondition: the counts of each core on the 3p-bead display.
+        for i in range(1, p + 1):
+            core = pb.restriction_block(p, i).core
+            assert counts_3p(p, i) == pb.AbacusDisplay.from_partition(core, p, 3 * p).counts(), (p, i)
 
 
 def test_require_block_prime():
@@ -228,6 +234,31 @@ def test_theta_lands_in_the_right_block():
             for m in display.removable_beads():
                 i = display.runner(m)
                 assert in_block(pb.theta(la, p, i), pb.restriction_block(p, i))
+
+
+def theta_by_display(display, i):
+    """Restriction as the display ops compute it, with the core decoded: the reference for _theta."""
+    beads = [m for m in display.beads_on_runner(i) if m in display.removable_beads()]
+    if not beads:
+        raise ValueError(f"{display.to_partition()} has no removable bead on runner {i}")
+    assert len(beads) == 1
+    pushed = display.push_left(beads[0])
+    assert pushed.core() == pb.restriction_block(display.p, i).core
+    return pushed.to_partition()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_theta_moves_the_bead_the_display_ops_move(p):
+    for la in pb.enumerate_block(pb.principal_block(p)):
+        display = pb.AbacusDisplay.from_partition(la, p, 3 * p)
+        for i in range(1, p + 1):
+            try:
+                expected = theta_by_display(display, i)
+            except ValueError:
+                with pytest.raises(ValueError, match=f"no removable bead on runner {i}"):
+                    _theta(display, i)
+            else:
+                assert _theta(display, i) == expected, (la, i)
 
 
 @pytest.mark.parametrize("p", [5, 7])

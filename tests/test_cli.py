@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -70,6 +71,20 @@ def test_inspect_json_roundtrips(capsys):
     assert record["notation"] == "<5,3,1>"
     occupied = record["display"]["occupied"]
     assert pb.AbacusDisplay(5, 15, frozenset(occupied)).to_partition() == (5, 4, 3, 2, 1)
+
+
+def test_inspect_strips_each_p_rim_once_for_the_symbol(capsys, monkeypatch):
+    # Three rims: three strips for the symbol, and three re-strips as the image is rebuilt.
+    module = importlib.import_module("pblock.mullineux")  # pblock.mullineux is also the function
+    calls = []
+    real = module.strip_p_rim
+    monkeypatch.setattr(module, "strip_p_rim", lambda la, p: calls.append(la) or real(la, p))
+    code, out, _ = run_cli(capsys, "inspect", "5,4,3,2,1", "--p", "5", "--json")
+    assert code == 0
+    record = json.loads(out)["results"][0]
+    assert record["mullineux"] == [7, 5, 2, 1]
+    assert record["mullineux_symbol"] == {"a": [8, 5, 2], "r": [5, 3, 2]}
+    assert len(calls) == 6
 
 
 def test_inspect_rejects_small_or_composite_p(capsys):

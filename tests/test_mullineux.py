@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import pblock as pb
 from pblock.blocks import BeadNotation
-from pblock.mullineux import _add_p_rim, rim_hook_leg_sum, strip_p_rim
+from pblock.mullineux import _add_p_rim, _mullineux, rim_hook_leg_sum, strip_p_rim
 from conftest import all_partitions_up_to, partitions, regular_partitions
 
 ROUND_TRIP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -70,6 +71,11 @@ def test_strip_p_rim_matches_the_cell_walk_exhaustive():
             per_row = Counter(i for i, _ in rim)
             stripped = pb.partition(part - per_row[i] for i, part in enumerate(la, start=1))
             assert strip_p_rim(la, p) == (stripped, len(rim), len(la)), (la, p)
+
+
+def test_strip_p_rim_names_a_result_that_is_not_a_partition():
+    with pytest.raises(ValueError, match=re.escape("(0, 4, 0) is not a partition: parts not weakly decreasing")):
+        strip_p_rim((1, 1, 5), 5)
 
 
 def test_symbol_worked_examples():
@@ -147,6 +153,18 @@ def test_mullineux_is_an_involution(case):
 # ---------------------------------------------------------------------------
 # the involution
 # ---------------------------------------------------------------------------
+
+def test_unchecked_image_matches_the_flipped_symbol():
+    # _mullineux rebuilds from the stripped rows; the public symbol round trip is the reference.
+    domain = list(all_partitions_up_to(20))
+    for p in (3, 5, 7, 11):
+        for la in domain:
+            if pb.is_p_regular(la, p):
+                symbol = pb.mullineux_symbol(la, p)
+                flipped = tuple(a - r + (1 if a % p else 0) for a, r in zip(symbol.a, symbol.r))
+                expected = pb.partition_from_symbol(pb.MullineuxSymbol(symbol.a, flipped), p)
+                assert _mullineux(la, p) == expected, (la, p)
+
 
 def test_mullineux_worked_examples():
     assert pb.mullineux((5, 4, 3, 2, 1), 5) == (7, 5, 2, 1)

@@ -71,3 +71,27 @@ def test_jm_classification_fails_when_a_third_partition_passes(monkeypatch):
     assert not check.passed
     assert check.counterexample == pb.format_partition(extra)
     assert check.detail == "quotient test passes off the expected pair"
+
+
+def test_lemma34_fails_when_the_weight_kernel_is_off(monkeypatch):
+    # Every removal from the first regular&restricted member reads weight 3, so it has no witness.
+    target = verify._principal_table(5).both[0]
+    smaller = {pb.remove_node(target, node) for node in pb.removable_nodes(target)}
+    real = verify._p_weight
+    monkeypatch.setattr(verify, "_p_weight", lambda la, p: 3 if la in smaller else real(la, p))
+    (check,) = run_checks(5, ["lemma34"]).checks
+    assert not check.passed
+    assert check.counterexample == pb.format_partition(target)
+    assert check.detail == "no removable node keeps weight 2 plus regular&restricted"
+
+
+def test_theta_table_fails_when_the_restriction_kernel_is_off(monkeypatch):
+    # A singular image for one regular member flips regularity on its first normal runner.
+    target = verify._principal_table(5).regular[3]
+    real = verify._theta
+    monkeypatch.setattr(verify, "_theta", lambda display, i: (
+        (1,) * 14 if display.to_partition() == target else real(display, i)))
+    (check,) = run_checks(5, ["theta-table"]).checks
+    assert not check.passed
+    assert check.counterexample == pb.format_partition(target)
+    assert check.detail.startswith("regularity flips under restriction to B_")
