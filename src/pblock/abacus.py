@@ -364,29 +364,31 @@ def _is_jm_fayers(la: Partition, p: int) -> bool:
     """:func:`is_jm_fayers` for a partition and an odd prime, unchecked.
 
     The z = r - len(la) zero-part beads of the r-bead display (``default_bead_count``)
-    fill positions 1..z, all in row 1, so weight 0 is tested on the part beads alone and
-    only they are placed.  An interior component vanishes iff its last bead sits in the row
-    of its bead count; then each pair 1 < k < ell < p bounds 0 by B(k, ell) + 1 >= 1.
+    sit in row 1 of runners 1..z, and the part beads are placed in one pass.  A runner's
+    component vanishes iff its last bead sits in the row of its bead count, so the weight
+    is 0 iff no runner is moved, and the interior components vanish iff only the runners
+    with the least and the greatest first empty position q are.  Then each pair
+    1 < k < ell < p bounds 0 by B(k, ell) + 1 >= 1.  As q ascends, B(1, ell) does not
+    decrease in ell and B(k, p) does not increase in k, so of the remaining bounds only
+    B(1, 2), B(p-1, p) and B(1, p) can bind.
     """
     r = default_bead_count(la, p)
     z = r - len(la)
-    betas = [part + r - i for i, part in enumerate(la)]
-    occupied = set(betas)
-    if all(m - p <= z or m - p in occupied for m in betas):
-        return True
     rows = [[1] if j < z else [] for j in range(p)]
-    for m in reversed(betas):
-        rows[(m - 1) % p].append((m - 1) // p + 1)
-    pyramid = _pyramid(p, map(len, rows))
-    rows = [rows[runner - 1] for runner in pyramid.sigma]
-    if any(beads and beads[-1] != len(beads) for beads in rows[1:-1]):
+    for i in range(len(la) - 1, -1, -1):
+        row, j = divmod(la[i] + r - i - 1, p)
+        rows[j].append(row + 1)
+    moved = [j for j, beads in enumerate(rows) if beads and beads[-1] != len(beads)]
+    if not moved:
+        return True
+    q = sorted([len(beads) * p + j for j, beads in enumerate(rows)])
+    lo, hi = q[0] % p, q[-1] % p
+    if any(j != lo and j != hi for j in moved):
         return False
-    first, last = _component(rows[0]), _component(rows[-1])
-    if not (is_p_restricted(first, p) and _is_jm_fayers(first, p)):
-        return False
-    if not (is_p_regular(last, p) and _is_jm_fayers(last, p)):
-        return False
+    first, last = _component(rows[lo]), _component(rows[hi])
     first_row, first_col = (first[0] if first else 0), len(last)
-    bounds = [(first_row, 1, ell) for ell in range(2, p)] + [(first_col, k, p) for k in range(2, p)]
-    bounds.append((first_row + first_col, 1, p))
-    return all(lhs <= pyramid.entry(k, ell) + 1 for lhs, k, ell in bounds)
+    if (first_row > (q[1] - q[0]) // p + 1 or first_col > (q[-1] - q[-2]) // p + 1
+            or first_row + first_col > (q[-1] - q[0]) // p + 1):
+        return False
+    return (is_p_restricted(first, p) and _is_jm_fayers(first, p)
+            and is_p_regular(last, p) and _is_jm_fayers(last, p))

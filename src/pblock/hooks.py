@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .partitions import Partition, conjugate, is_prime, partition
 
 Diagram = list[list[int]]
@@ -47,22 +49,44 @@ def is_jm_direct(la: Partition, p: int) -> bool:
 def _is_jm_direct(la: Partition, p: int) -> bool:
     """:func:`is_jm_direct` for a partition and an odd prime, unchecked.
 
-    It passes at once when the largest hook, h(1,1) = la_1 + len(la) - 1, is below p,
-    or when no hook length is divisible by p.  Otherwise only the columns of positive
-    entries in non-constant rows are compared.
+    It passes at once when the largest hook, h(1,1) = la_1 + len(la) - 1, is below p.
+    Otherwise it visits only the hooks divisible by p.  With 0-based i and j, h(i, j)
+    is the arm a_i = la_i - i - 1 plus the leg l_j = la'_j - j, so the positive
+    entries of row i are the columns j < la_i whose leg is -a_i mod p.  A row without
+    such a column is all zeros; a row made only of them is constant when its
+    valuations are; each positive column of any other row must be constant, which is
+    decided once per column.
     """
     if not la or la[0] + len(la) - 1 < p:
         return True
-    hooks = hook_lengths(la)
-    if all(0 not in map(p.__rmod__, row) for row in hooks):
-        return True
-    powers = [[p_adic_valuation(h, p) if h % p == 0 else 0 for h in row] for row in hooks]
-    for row in powers:
-        if min(row) != max(row):
-            for j, entry in enumerate(row):
-                if entry and len({other[j] for other in powers if j < len(other)}) > 1:
-                    return False
+    conj = conjugate(la)
+    legs = [c - j for j, c in enumerate(conj)]
+    columns: list[list[int]] = [[] for _ in range(p)]
+    for j, leg in enumerate(legs):
+        columns[leg % p].append(j)
+    constant: dict[int, bool] = {}
+    for i, part in enumerate(la):
+        arm = part - i - 1
+        bucket = columns[-arm % p]
+        positive = bucket[:bisect_left(bucket, part)]
+        if not positive:
+            continue
+        if len(positive) == part and len({p_adic_valuation(arm + legs[j], p) for j in positive}) == 1:
+            continue
+        for j in positive:
+            if j not in constant:
+                leg = legs[j]
+                constant[j] = _constant_column([la[k] - k - 1 + leg for k in range(conj[j])], p)
+            if not constant[j]:
+                return False
     return True
+
+
+def _constant_column(column: list[int], p: int) -> bool:
+    """True iff every hook in ``column`` is divisible by p, all to the same power."""
+    if any(h % p for h in column):
+        return False
+    return len({p_adic_valuation(h, p) for h in column}) == 1
 
 
 def format_diagram(diagram: Diagram) -> str:

@@ -66,14 +66,45 @@ def format_partition(la: Partition) -> str:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n`` with parts at most ``max_part``, in descending lex order."""
+    """All partitions of ``n`` with parts at most ``max_part``, in descending lex order.
+
+    Iterative (Zoghbi and Stojmenovic's ZS1): ``x[:m]`` is the current partition and
+    ``x[h]`` its last part above 1, every later entry being 1.  The successor lowers
+    ``x[h]`` by one and refills what follows greedily with parts of that size.
+    """
     if n == 0:
         yield ()
         return
     top = n if max_part is None or max_part > n else max_part
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    count, rest = divmod(n, top)
+    x = [top] * count + [1] * (n - count)
+    if rest:
+        x[count] = rest
+    m = count + (rest > 0)
+    h = count - 1 + (rest > 1) if top > 1 else -1
+    yield tuple(x[:m])
+    while h >= 0:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def conjugate(la: Partition) -> Partition:

@@ -338,6 +338,33 @@ def test_unchecked_oracles_match_the_public_ones():
             assert _is_jm_fayers(la, p) == pb.is_jm_fayers(la, p), (la, p)
 
 
+def is_jm_by_literal_quotient_rule(la, p):
+    """The quotient rule read off the public reordered quotient, every pair 1 <= k < ell <= p."""
+    if not la:
+        return True
+    reordered, pyramid = pb.reordered_quotient(la, p)
+    mu = reordered.components
+    if any(mu[1:-1]):
+        return False
+    if not all((mu[k - 1][0] if mu[k - 1] else 0) + len(mu[ell - 1]) <= pyramid.entry(k, ell) + 1
+               for k in range(1, p) for ell in range(k + 1, p + 1)):
+        return False
+    return (pb.is_p_restricted(mu[0], p) and is_jm_by_literal_quotient_rule(mu[0], p)
+            and pb.is_p_regular(mu[-1], p) and is_jm_by_literal_quotient_rule(mu[-1], p))
+
+
+def test_three_pyramid_pairs_decide_the_quotient_test():
+    """_is_jm_fayers tests only B(1, 2), B(p-1, p) and B(1, p); the literal rule tests all pairs."""
+    domain = [(la, p) for la in all_partitions_up_to(20) for p in (3, 5, 7, 11, 13)]
+    domain += [(la, p) for la in pb.partitions_of(30) for p in (3, 5)]
+    verdicts = Counter()
+    for la, p in domain:
+        verdict = is_jm_by_literal_quotient_rule(la, p)
+        assert _is_jm_fayers(la, p) == verdict, (la, p)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_render_shows_grid():
     text = AbacusDisplay.from_partition((7, 7, 2, 2, 1), 5, 15).render()
     lines = text.splitlines()

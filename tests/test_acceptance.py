@@ -51,7 +51,7 @@ def test_criterion_01_irreducibility_classification():
 
 
 def test_criterion_02_dual_oracle_equivalence():
-    with criterion(2, "diagram test == quotient test, n <= 28", budget=60):
+    with criterion(2, "diagram test == quotient test, n <= 28", budget=20):
         for p in (5, 7, 11):
             for la in all_partitions_up_to(28):
                 assert pb.is_jm_direct(la, p) == pb.is_jm_fayers(la, p), (la, p)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import pblock as pb
-from pblock.hooks import format_diagram, p_adic_valuation
+from pblock.hooks import _is_jm_direct, format_diagram, p_adic_valuation
 from conftest import all_partitions_up_to, partitions
 
 
@@ -84,6 +84,25 @@ def test_jm_direct_conjugation_symmetric_exhaustive():
     for p in (5, 7):
         for la in all_partitions_up_to(25):
             assert pb.is_jm_direct(la, p) == pb.is_jm_direct(pb.conjugate(la), p)
+
+
+def is_jm_by_literal_rule(la, p):
+    """The row/column rule read node by node off the full p-power diagram."""
+    powers = pb.p_power_diagram(la, p)
+    columns = [[row[j] for row in powers if j < len(row)] for j in range(la[0] if la else 0)]
+    return all(len(set(row)) == 1 or len(set(columns[j])) == 1
+               for row in powers for j, entry in enumerate(row) if entry)
+
+
+def test_sparse_direct_test_matches_the_literal_rule():
+    domain = [(la, p) for la in all_partitions_up_to(20) for p in (3, 5, 7, 11, 13)]
+    domain += [(la, p) for la in pb.partitions_of(30) for p in (3, 5)]
+    verdicts = Counter()
+    for la, p in domain:
+        verdict = is_jm_by_literal_rule(la, p)
+        assert _is_jm_direct(la, p) == verdict, (la, p)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_format_diagram_prints_zeros():

@@ -86,6 +86,45 @@ def test_partitions_of_counts():
         assert sum(1 for _ in pb.partitions_of(n)) == expected
 
 
+def partition_counts_by_pentagonal_recurrence(nmax):
+    """Euler: p(n) is the sum over k != 0 of (-1)^(k+1) p(n - k(3k-1)/2)."""
+    counts = [1]
+    for n in range(1, nmax + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    total += sign * counts[n - pentagonal]
+            k += 1
+        counts.append(total)
+    return counts
+
+
+def test_partitions_of_counts_follow_the_pentagonal_recurrence():
+    expected = partition_counts_by_pentagonal_recurrence(40)
+    assert expected[40] == 37338
+    assert [sum(1 for _ in pb.partitions_of(n)) for n in range(41)] == expected
+
+
+def test_partitions_of_is_strictly_descending_and_canonical():
+    for n in range(31):
+        listed = list(pb.partitions_of(n))
+        assert all(a > b for a, b in zip(listed, listed[1:])), n
+        assert all(pb.partition(la) == la and sum(la) == n for la in listed), n
+
+
+def test_partitions_of_bounds_the_largest_part():
+    assert list(pb.partitions_of(0)) == [()]
+    assert list(pb.partitions_of(0, 0)) == [()]
+    for n in range(1, 16):
+        unbounded = list(pb.partitions_of(n))
+        for max_part in (None, 0, 1, n // 2, n, n + 3):
+            bound = n if max_part is None else max_part
+            assert list(pb.partitions_of(n, max_part)) == [la for la in unbounded
+                                                           if la[0] <= bound], (n, max_part)
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------
