@@ -5,12 +5,12 @@ Positions are 1-based, numbered row-major: position m sits on runner
 the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
-Each display sorts its beads into per-runner rows once, when it is built.
-Bead counts, the p-core, the quotient, the pyramid and the normal beads are
-all read off those rows; only ``_is_jm_fayers`` and ``_p_weight`` read runners
-without a display.
-Code outside this module asks the display instead of computing runners or
-rows itself.
+Only this module places beads.  A display sorts its beads into per-runner rows
+once, when it is built, and reads its counts, quotient, pyramid and normal beads
+off those rows.  ``_pushed`` turns runner counts into the pushed-up display (the
+core's) and ``_place`` moves its beads down by quotient components; the unchecked
+readers ``_is_jm_fayers`` and ``_p_weight`` place a partition's beads without a
+display.  Code outside this module asks these instead of computing positions.
 """
 
 from __future__ import annotations
@@ -48,17 +48,26 @@ def _decode_betas(betas, r: int) -> Partition:
     return tuple(parts[bisect_right(parts, 0):][::-1])
 
 
-def _runner_betas(p: int, counts, components) -> frozenset[int]:
-    """Beta-numbers with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-    occupied = set()
-    for j, (c, kappa) in enumerate(zip(counts, components, strict=True), start=1):
+def _pushed(p: int, counts) -> frozenset[int]:
+    """Positions of the pushed-up display with ``counts[j-1]`` beads on runner j."""
+    return frozenset((t - 1) * p + j for j, c in enumerate(counts, start=1) for t in range(1, c + 1))
+
+
+def _place(p: int, counts, rest: frozenset[int], moves) -> set[int]:
+    """The pushed-up display ``rest`` of ``counts`` with beads moved down by a sparse quotient.
+
+    For each (j, kappa) in ``moves``, the t-th lowest bead of runner j moves kappa_t rows down.
+    """
+    betas = set(rest)
+    for j, kappa in moves:
+        c = counts[j - 1]
         if len(kappa) > c:
             raise ValueError(f"component {kappa} needs more than {c} beads on runner {j}")
-        padded = tuple(kappa) + (0,) * (c - len(kappa))
-        occupied.update((padded[t - 1] + c - t) * p + j for t in range(1, c + 1))
-    if len(occupied) != sum(counts):
-        raise ValueError(f"expected {sum(counts)} beads, got {len(occupied)}")
-    return frozenset(occupied)
+        betas.difference_update([(c - t) * p + j for t in range(1, len(kappa) + 1)])
+        betas.update([(c - t + part) * p + j for t, part in enumerate(kappa, start=1)])
+    if len(betas) != len(rest):
+        raise ValueError(f"expected {len(rest)} beads, got {len(betas)}")
+    return betas
 
 
 def _component(rows: tuple[int, ...]) -> Partition:
@@ -104,7 +113,10 @@ class AbacusDisplay:
     @staticmethod
     def partition_from_runners(p: int, counts, components) -> Partition:
         """The partition with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-        return _decode_betas(_runner_betas(p, counts, components), sum(counts))
+        if len(components) != len(counts):
+            raise ValueError(f"{len(counts)} runner counts but {len(components)} components")
+        moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
+        return _decode_betas(_place(p, counts, _pushed(p, counts), moves), sum(counts))
 
     def to_partition(self) -> Partition:
         return _decode_betas(self.occupied, self.r)
@@ -131,8 +143,7 @@ class AbacusDisplay:
 
     def core(self) -> Partition:
         """The p-core: every runner's beads pushed up into its top rows."""
-        return _decode_betas([(t - 1) * self.p + j for j, c in enumerate(self.counts(), start=1)
-                              for t in range(1, c + 1)], self.r)
+        return _decode_betas(_pushed(self.p, self.counts()), self.r)
 
     # -- bead moves (each returns a new display) -----------------------------
 
@@ -198,11 +209,10 @@ class AbacusDisplay:
 
     # -- rendering -------------------------------------------------------------
 
-    def render(self, labels=None) -> str:
+    def render(self) -> str:
         """Text grid in the style of an abacus figure: runner header, then rows."""
-        labels = labels or list(range(1, self.p + 1))
         height = max((rows[-1] for rows in self.rows if rows), default=1) + 1
-        lines = [" ".join(str(lab) for lab in labels), "-" * (2 * self.p - 1)]
+        lines = [" ".join(map(str, range(1, self.p + 1))), "-" * (2 * self.p - 1)]
         for t in range(1, height + 1):
             lines.append(" ".join("●" if t in rows else "○" for rows in self.rows))
         return "\n".join(lines)

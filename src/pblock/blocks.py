@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, default_bead_count, p_core
+from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, _place, _pushed, default_bead_count, p_core
 from .partitions import (
     Partition,
     add_node,
@@ -102,16 +102,11 @@ def parse_notation(text: str, weight: int) -> BeadNotation:
     return BeadNotation(weight, tuple(int(x) for x in m.group(1).split(",")))
 
 
-def counts_42(p: int, i: int) -> tuple[int, ...]:
-    """Bead counts <3^(i-2), 4, 2, 3^(p-i)> of the 3p-bead display for B_i."""
-    if not 2 <= i <= p:
-        raise ValueError(f"need 2 <= i <= p, got {i}")
-    return (3,) * (i - 2) + (4, 2) + (3,) * (p - i)
-
-
 def counts_3p(p: int, i: int) -> tuple[int, ...]:
-    """Bead counts of B_i (1 <= i <= p) on the 3p-bead display: ``counts_42``, or <2, 3^(p-2), 4> for B_1."""
-    return counts_42(p, i) if i != 1 else (2,) + (3,) * (p - 2) + (4,)
+    """Bead counts of B_i on the 3p-bead display: <3^(i-2), 4, 2, 3^(p-i)>, or <2, 3^(p-2), 4> for B_1."""
+    if not 1 <= i <= p:
+        raise ValueError(f"need 1 <= i <= p, got {i}")
+    return (3,) * (i - 2) + (4, 2) + (3,) * (p - i) if i > 1 else (2,) + (3,) * (p - 2) + (4,)
 
 
 def counts_223(p: int, s: int) -> tuple[int, ...]:
@@ -187,34 +182,30 @@ def in_block(la: Partition, label: BlockLabel) -> bool:
     return sum(la) == label.n and p_core(la, label.p) == label.core
 
 
-def _bead_moves(p: int, counts, shapes, w: int, first: int = 1):
-    """Each way to move beads on runners >= ``first`` by w rows in all, as (vacated, filled) positions.
+def _bead_moves(p: int, shapes, w: int, first: int = 1):
+    """Each p-quotient of total size w on runners >= ``first``, sparse: ((j, kappa), ...).
 
-    A nonempty component kappa on runner j moves the t-th lowest of its
-    ``counts[j-1]`` beads kappa_t rows down; runners with an empty component
-    are never visited.
+    Runners ascend and each component kappa is nonempty; ``shapes[size]``
+    lists the partitions of ``size``.  Positions are left to ``abacus._place``.
     """
     if w == 0:
-        yield (), ()
+        yield ()
         return
     for j in range(first, p + 1):
-        c = counts[j - 1]
         for size in range(1, w + 1):
             for kappa in shapes[size]:
-                vacated = tuple((c - t) * p + j for t in range(1, len(kappa) + 1))
-                filled = tuple((c - t + part) * p + j for t, part in enumerate(kappa, start=1))
-                for rest_vacated, rest_filled in _bead_moves(p, counts, shapes, w - size, j + 1):
-                    yield vacated + rest_vacated, filled + rest_filled
+                for rest in _bead_moves(p, shapes, w - size, j + 1):
+                    yield ((j, kappa),) + rest
 
 
 def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     """All partitions with the label's core and weight, descending lex.
 
-    Each member is the core's pushed-up display with at most ``weight`` beads
-    moved down their runners, one way per p-multipartition of the weight (the
-    p-quotient of the member).  The bead count first grows (p beads at a time,
-    one more per runner) until every runner holds ``weight`` beads, so every
-    component fits.
+    Each member is the core's pushed-up display (``_pushed``, built once) with
+    at most ``weight`` beads moved down their runners (``_place``), one way per
+    p-quotient of the weight (``_bead_moves``).  The bead count first grows (p
+    beads at a time, one more per runner) until every runner holds ``weight``
+    beads, so every component fits.
     """
     p, w = label.p, label.weight
     display = AbacusDisplay.from_partition(label.core, p, default_bead_count(label.core, p))
@@ -222,15 +213,10 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
         raise ValueError(f"{label.core} is not a {p}-core")
     extra = max(0, w - min(display.counts()))
     counts = tuple(c + extra for c in display.counts())
-    r = sum(counts)
-    rest = frozenset((t - 1) * p + j for j, c in enumerate(counts, start=1) for t in range(1, c + 1))
+    rest = _pushed(p, counts)
     shapes = {size: tuple(partitions_of(size)) for size in range(1, w + 1)}
-    out = []
-    for vacated, filled in _bead_moves(p, counts, shapes, w):
-        betas = rest.difference(vacated).union(filled)
-        if len(betas) != r:
-            raise RuntimeError(f"bead moves {vacated} -> {filled} collided in {label}")
-        out.append(_decode_betas(betas, r))
+    out = [_decode_betas(_place(p, counts, rest, moves), len(rest))
+           for moves in _bead_moves(p, shapes, w)]
     if len(set(out)) != len(out):
         raise RuntimeError(f"component tuples collided for {label}")
     return tuple(sorted(out, reverse=True))
@@ -299,17 +285,16 @@ def _theta(display: AbacusDisplay, i: int) -> Partition:
     Moves the one removable bead m on runner i to m - 1.  The image lies in B_i iff the
     3p-bead display then has B_i's runner counts (:func:`counts_3p`), which fix the core.
     """
-    p, occupied = display.p, display.occupied
-    beads = [m for m in ((t - 1) * p + i for t in display.rows[i - 1])
-             if m > 1 and m - 1 not in occupied]
+    occupied = display.occupied
+    beads = [m for m in display.beads_on_runner(i) if m > 1 and m - 1 not in occupied]
     if not beads:
         raise ValueError(f"{display.to_partition()} has no removable bead on runner {i}")
     if len(beads) > 1:
         raise RuntimeError(f"{display.to_partition()} has several removable beads on runner {i}: {beads}")
-    counts = list(map(len, display.rows))
+    counts = list(display.counts())
     counts[i - 1] -= 1
     counts[i - 2] += 1  # runner i - 1, or runner p for i = 1
-    if tuple(counts) != counts_3p(p, i):
+    if tuple(counts) != counts_3p(display.p, i):
         raise RuntimeError(f"restriction of {display.to_partition()} left the expected block B_{i}")
     m = beads[0]
     return _decode_betas(occupied - {m} | {m - 1}, display.r)
@@ -364,10 +349,8 @@ def in_lambda_set(la: Partition, p: int, i: int) -> bool:
 
 def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:
     """Placements in B_i (on the <3^(i-2),4,2,3^(p-i)> display) passing the quotient test."""
-    if not 2 <= i <= p:
-        raise ValueError(f"need 2 <= i <= p, got {i}")
-    counts = counts_42(p, i)
     hits = [la for la in enumerate_block(defect2_block(p, i)) if _is_jm_fayers(la, p)]
+    counts = counts_3p(p, i)
     return tuple(encode_notation(la, p, counts) for la in hits)
 
 

@@ -190,7 +190,7 @@ def _enumerate_record(la, label) -> dict:
         record["parity"] = parity(la, p)
     elif label.weight == 2:
         i = label.core[0] + 1  # core is (i-1, 1^(p-i))
-        record["notation"] = str(blocks.encode_notation(la, p, blocks.counts_42(p, i)))
+        record["notation"] = str(blocks.encode_notation(la, p, blocks.counts_3p(p, i)))
     return record
 
 

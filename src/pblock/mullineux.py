@@ -120,8 +120,13 @@ def partition_from_symbol(symbol: MullineuxSymbol, p: int) -> Partition:
     """Rebuild the partition encoded by a Mullineux symbol."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
+    return _rebuild(symbol.a, symbol.r, p)
+
+
+def _rebuild(sizes, rows, p: int) -> Partition:
+    """The partition whose symbol has rows ``sizes`` and ``rows``: p-rims added back, the last first."""
     current: Partition = ()
-    for a, r in zip(reversed(symbol.a), reversed(symbol.r)):
+    for a, r in zip(reversed(sizes), reversed(rows)):
         current = _add_p_rim(current, a, r, p)
     return current
 
@@ -141,10 +146,7 @@ def _flipped_image(sizes, rows, p: int) -> Partition:
 
     Rebuilds from the flipped symbol through ``_add_p_rim``, whose re-strip checks each step.
     """
-    current: Partition = ()
-    for a, r in zip(reversed(sizes), reversed(rows)):
-        current = _add_p_rim(current, a, a - r + (1 if a % p else 0), p)
-    return current
+    return _rebuild(sizes, [a - r + (1 if a % p else 0) for a, r in zip(sizes, rows)], p)
 
 
 def parity(la: Partition, p: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from types import MappingProxyType
 
 from .abacus import AbacusDisplay, _is_jm_fayers, _p_weight
@@ -18,7 +18,7 @@ from .blocks import (
     _partners,
     _theta,
     classify_3p,
-    counts_42,
+    counts_3p,
     counts_223,
     decode_notation,
     enumerate_block,
@@ -115,12 +115,7 @@ def check_jm_classification(p: int) -> str:
 
 def check_xi_sets(p: int) -> str:
     for i in range(2, p + 1):
-        if i == 2:
-            expected = {_N2(2, 2), _N2(2), _N2(1), _N2(2, 1)}
-        elif i == p:
-            expected = {_N2(p, p), _N2(p, p - 1), _N2(p - 1), _N2(p - 1, p - 1)}
-        else:
-            expected = {_N2(i, i), _N2(i - 1), _N2(i, i - 1)}
+        expected = set(_induced_pairs(p, i))
         got = set(irreducible_set_X(p, i))
         if got != expected:
             _fail(f"B_{i}: " + ", ".join(map(str, sorted(got ^ expected))),
@@ -133,30 +128,23 @@ def check_prop31(p: int) -> str:
     flags = {la: classify_3p(la, p) for la in block}
     both = {la for la in block if flags[la]["p_regular"] and flags[la]["p_restricted"]}
 
+    # (1)-(3) as rows (runners, regular&restricted?, rule).  The runners are
+    # kept as written: _N3 would print <i,i,j> sorted.
+    excluded = {(3, 2, 1), (p, p - 1, p - 2)}
+    rows = chain(
+        (((i, j), i < j <= p - 1, "two-index regular&restricted")
+         for i, j in product(range(1, p + 1), repeat=2)),
+        (((i, i, j), 2 <= j < i, "repeated-index")
+         for i, j in product(range(1, p + 1), repeat=2) if i != j),
+        (((i, j, k), (i, j, k) not in excluded, "distinct-index")
+         for i in range(3, p + 1) for j in range(2, i) for k in range(1, j)),
+    )
     decoded = set()
-    # (1) <i,j>: both iff i < j <= p-1.
-    for i, j in product(range(1, p + 1), repeat=2):
-        la = from_3p(_N3(i, j), p)
+    for runners, expected, rule in rows:
+        la = from_3p(_N3(*runners), p)
         decoded.add(la)
-        if (la in both) != (i < j <= p - 1):
-            _fail(la, f"<{i},{j}> contradicts the two-index regular&restricted rule")
-    # (2) <i,i,j>: both iff 2 <= j < i.
-    for i, j in product(range(1, p + 1), repeat=2):
-        if i == j:
-            continue
-        la = from_3p(_N3(i, i, j), p)
-        decoded.add(la)
-        if (la in both) != (2 <= j < i):
-            _fail(la, f"<{i},{i},{j}> contradicts the repeated-index rule")
-    # (3) distinct <i,j,k>: both iff not one of the two excluded triples.
-    for i in range(3, p + 1):
-        for j in range(2, i):
-            for k in range(1, j):
-                la = from_3p(_N3(i, j, k), p)
-                decoded.add(la)
-                expected = (i, j, k) not in {(3, 2, 1), (p, p - 1, p - 2)}
-                if (la in both) != expected:
-                    _fail(la, f"<{i},{j},{k}> contradicts the distinct-index rule")
+        if (la in both) != expected:
+            _fail(la, f"<{','.join(map(str, runners))}> contradicts the {rule} rule")
     # (4) the three families exhaust the regular&restricted partitions.  By
     # (1)-(3) they are the regular&restricted placements decoded there.
     if not both <= decoded:
@@ -196,29 +184,17 @@ def check_prop31(p: int) -> str:
 
 
 def check_prop212(p: int) -> str:
-    # (1) <i,p> for 1 <= i <= p-1.
-    for i in range(1, p):
-        la = from_3p(_N3(i, p), p)
-        expected_tau = 2 if i in (1, p - 1) else 3
-        expected_taup = 1 if i in (1, p - 1) else 2
-        if tau(la) != expected_tau or tau_p(la, p) != expected_taup:
-            _fail(la, f"<{i},{p}> node counts differ")
-    # (2) <i,1> for 2 <= i <= p.
-    for i in range(2, p + 1):
-        la = from_3p(_N3(i, 1), p)
-        if tau(la) != (2 if i == 2 else 3) or tau_p(la, p) != 1:
-            _fail(la, f"<{i},1> node counts differ")
-    # (3) <j+1,j> for 2 <= j <= p-1.
-    for j in range(2, p):
-        la = from_3p(_N3(j + 1, j), p)
-        if tau(la) != (2 if j == p - 1 else 3) or tau_p(la, p) != 2:
-            _fail(la, f"<{j+1},{j}> node counts differ")
-    # (4) <i,j> for 2 <= j < i <= p with i - j >= 2.
-    for i in range(4, p + 1):
-        for j in range(2, i - 1):
-            la = from_3p(_N3(i, j), p)
-            if tau(la) != (3 if i == p else 4) or tau_p(la, p) != 2:
-                _fail(la, f"<{i},{j}> node counts differ")
+    # (1)-(4) as rows (placement, (removable, normal) node counts).
+    rows = chain(
+        ((_N3(i, p), (2, 1) if i in (1, p - 1) else (3, 2)) for i in range(1, p)),
+        ((_N3(i, 1), (2 if i == 2 else 3, 1)) for i in range(2, p + 1)),
+        ((_N3(j + 1, j), (2 if j == p - 1 else 3, 2)) for j in range(2, p)),
+        ((_N3(i, j), (3 if i == p else 4, 2)) for i in range(4, p + 1) for j in range(2, i - 1)),
+    )
+    for nota, (removable, normal) in rows:
+        la = from_3p(nota, p)
+        if tau(la) != removable or tau_p(la, p) != normal:
+            _fail(la, f"{nota} node counts differ")
     # (5) normal-node ceiling for regular partitions.
     spread = set()
     if p >= 7:
@@ -293,22 +269,19 @@ def check_parity_flip(p: int) -> str:
 
 
 def check_theta_table(p: int) -> str:
-    # Restriction images of <i,1> and of spread-out <i,j>, in the target notation.
-    for i in range(3, p):
-        la = from_3p(_N3(i, 1), p)
-        table = {2: _N2(i - 1), i: _N2(p, p - i + 2), i + 1: _N2(p, p - i + 1)}
-        for s, expected in table.items():
-            if theta(la, p, s) != decode_notation(expected, p, counts_223(p, s)):
-                _fail(la, f"restriction of <{i},1> to B_{s} is not {expected}")
-    for j in range(2, p):
-        for i in range(j + 2, p):
-            la = from_3p(_N3(i, j), p)
-            gap = i - j
-            table = {j: _N2(gap + 1), j + 1: _N2(gap),
-                     i: _N2(p, p - gap + 1), i + 1: _N2(p, p - gap)}
-            for s, expected in table.items():
-                if theta(la, p, s) != decode_notation(expected, p, counts_223(p, s)):
-                    _fail(la, f"restriction of <{i},{j}> to B_{s} is not {expected}")
+    # Restriction images of <i,1> and of spread-out <i,j> (gap i - j >= 2), as rows
+    # (placement, target block B_s, image in the target notation).
+    rows = chain(
+        ((_N3(i, 1), s, expected) for i in range(3, p)
+         for s, expected in ((2, _N2(i - 1)), (i, _N2(p, p - i + 2)), (i + 1, _N2(p, p - i + 1)))),
+        ((_N3(i, j), s, expected) for j in range(2, p) for i in range(j + 2, p)
+         for s, expected in ((j, _N2(i - j + 1)), (j + 1, _N2(i - j)),
+                             (i, _N2(p, p - i + j + 1)), (i + 1, _N2(p, p - i + j)))),
+    )
+    for nota, s, expected in rows:
+        la = from_3p(nota, p)
+        if theta(la, p, s) != decode_notation(expected, p, counts_223(p, s)):
+            _fail(la, f"restriction of {nota} to B_{s} is not {expected}")
     # One walk over the block, in descending order.  On the normal-bead
     # domain of each runner, restriction preserves regularity (the bead
     # criterion applies verbatim to singular partitions; a merely removable
@@ -359,7 +332,7 @@ def check_partner_counts(p: int) -> str:
     if sigma_partner(top, p, p) != from_3p(_N3(p - 1, p), p):
         _fail(top, "sigma partner of the <p,p-1> placement is off")
     for i in range(2, p + 1):
-        counts = counts_42(p, i)
+        counts = counts_3p(p, i)
         for key, (upper, lower) in _induced_pairs(p, i).items():
             la_tilde = decode_notation(key, p, counts)
             expected_pair = (from_3p(upper, p), from_3p(lower, p))
@@ -403,16 +376,16 @@ def check_loewy_partition(p: int) -> str:
             f"partition the {len(block)} block partitions")
 
 
-def check_oracle_equivalence(p: int, max_n: int = 28) -> str:
+def check_oracle_equivalence(p: int) -> str:
     if p == 2 or not is_prime(p):
         raise ValueError("the test needs an odd prime p")
     checked = 0
-    for n in range(max_n + 1):
+    for n in range(28 + 1):
         for la in partitions_of(n):
             checked += 1
             if _is_jm_direct(la, p) != _is_jm_fayers(la, p):
                 _fail(la, "power-diagram and quotient tests disagree")
-    return f"both irreducibility tests agree on {checked} partitions (n <= {max_n})"
+    return f"both irreducibility tests agree on {checked} partitions (n <= 28)"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, _is_jm_fayers, _p_weight, _runner_betas
+from pblock.abacus import AbacusDisplay, _is_jm_fayers, _p_weight, _place, _pushed
 from pblock.hooks import _is_jm_direct
 from conftest import all_partitions_up_to, partitions
 
@@ -106,7 +106,8 @@ def test_bead_moves_are_value_ops():
 
 def from_runners(p, counts, components):
     """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-    return AbacusDisplay(p, sum(counts), _runner_betas(p, counts, components))
+    moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
+    return AbacusDisplay(p, sum(counts), frozenset(_place(p, counts, _pushed(p, counts), moves)))
 
 
 def test_partition_from_runners_skips_the_display():
@@ -126,6 +127,11 @@ def test_partition_from_runners_skips_the_display():
     for build in (from_runners, AbacusDisplay.partition_from_runners):
         with pytest.raises(ValueError, match="expected 15 beads, got 14"):
             build(5, counts, [(0, 1), (), (), (), ()])  # a non-partition component collides
+
+
+def test_partition_from_runners_needs_one_component_per_runner():
+    with pytest.raises(ValueError, match="5 runner counts but 4 components"):
+        AbacusDisplay.partition_from_runners(5, (3,) * 5, [(1,), (), (), ()])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from pblock.blocks import (
     BeadNotation,
     _theta,
     counts_3p,
-    counts_42,
     counts_223,
     in_block,
     loewy2_families,
@@ -102,7 +101,7 @@ def test_from_3p_then_to_3p_is_identity(case):
 @settings(max_examples=200)
 def test_decode_then_encode_is_identity_on_weight_2(case, data):
     p, nota = case
-    counts = counts_42(p, data.draw(st.integers(min_value=2, max_value=p)))
+    counts = counts_3p(p, data.draw(st.integers(min_value=2, max_value=p)))
     assert pb.encode_notation(pb.decode_notation(nota, p, counts), p, counts) == nota
 
 
@@ -111,8 +110,8 @@ def test_defect2_counts_match_core_displays():
         for i in range(2, p + 1):
             core = pb.defect2_block(p, i).core
             assert pb.p_core(core, p) == core
-            for counts, r in ((counts_42(p, i), 3 * p), (counts_223(p, i), 3 * p - i + 1)):
-                assert counts == pb.AbacusDisplay.from_partition(core, p, r).counts()
+            # counts_3p(p, i) on 3p beads is checked for every i by the loop below.
+            assert counts_223(p, i) == pb.AbacusDisplay.from_partition(core, p, 3 * p - i + 1).counts()
         # _theta's B_1..B_p postcondition: the counts of each core on the 3p-bead display.
         for i in range(1, p + 1):
             core = pb.restriction_block(p, i).core

@@ -95,3 +95,62 @@ def test_theta_table_fails_when_the_restriction_kernel_is_off(monkeypatch):
     assert not check.passed
     assert check.counterexample == pb.format_partition(target)
     assert check.detail.startswith("regularity flips under restriction to B_")
+
+
+def _failure(check_name, p=5):
+    (check,) = run_checks(p, [check_name]).checks
+    assert not check.passed
+    return check.counterexample, check.detail
+
+
+@pytest.mark.parametrize("runners, rule", [
+    ((1, 2), "two-index regular&restricted"),
+    ((4, 4, 2), "repeated-index"),
+    ((2, 2, 5), "repeated-index"),  # j > i: printed as written, not as the sorted <5,2,2>
+    ((4, 2, 1), "distinct-index"),
+])
+def test_prop31_names_the_placement_and_clause_it_contradicts(monkeypatch, runners, rule):
+    # Flip both flags of one placement: it leaves or joins the regular&restricted set.
+    target = pb.from_3p(pb.BeadNotation(3, runners), 5)
+    real = verify.classify_3p
+
+    def flipped(la, p):
+        flags = real(la, p)
+        if la == target:
+            both = flags["p_regular"] and flags["p_restricted"]
+            flags = {**flags, "p_regular": not both, "p_restricted": not both}
+        return flags
+
+    monkeypatch.setattr(verify, "classify_3p", flipped)
+    assert _failure("prop31") == (pb.format_partition(target),
+                                  f"<{','.join(map(str, runners))}> contradicts the {rule} rule")
+
+
+@pytest.mark.parametrize("runners", [(2, 5), (3, 1), (3, 2), (5, 2)])
+def test_prop212_names_the_placement_of_each_family(monkeypatch, runners):
+    # One placement from each of families (1)-(4) gets one normal node too many.
+    target = pb.from_3p(pb.BeadNotation(3, runners), 5)
+    real = verify.tau_p
+    monkeypatch.setattr(verify, "tau_p", lambda la, p: real(la, p) + (la == target))
+    assert _failure("prop212") == (pb.format_partition(target),
+                                   f"<{runners[0]},{runners[1]}> node counts differ")
+
+
+@pytest.mark.parametrize("runners, s, image", [((4, 1), 5, "<7,4>"), ((5, 2), 6, "<7,4>")])
+def test_theta_table_names_the_placement_and_block_of_each_table(monkeypatch, runners, s, image):
+    target = pb.from_3p(pb.BeadNotation(3, runners), 7)
+    real = verify.theta
+    monkeypatch.setattr(verify, "theta", lambda la, p, i: (
+        (1,) * 20 if (la, i) == (target, s) else real(la, p, i)))
+    assert _failure("theta-table", 7) == (
+        pb.format_partition(target),
+        f"restriction of <{runners[0]},{runners[1]}> to B_{s} is not {image}")
+
+
+@pytest.mark.parametrize("i, dropped", [(3, "<3,2>"), (5, "<4,4>")])
+def test_xi_sets_names_a_dropped_placement(monkeypatch, i, dropped):
+    real = verify.irreducible_set_X
+    monkeypatch.setattr(verify, "irreducible_set_X", lambda p, k: tuple(
+        nota for nota in real(p, k) if (k, str(nota)) != (i, dropped)))
+    assert _failure("xi-sets") == (f"B_{i}: {dropped}",
+                                   f"irreducible set of B_{i} differs from the classified list")
