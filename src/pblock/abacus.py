@@ -9,8 +9,9 @@ Only this module places beads.  A display sorts its beads into per-runner rows
 once, when it is built, and reads its counts, quotient, pyramid and normal beads
 off those rows.  ``_pushed`` turns runner counts into the pushed-up display (the
 core's) and ``_place`` moves its beads down by quotient components; the unchecked
-readers ``_is_jm_fayers`` and ``_p_weight`` place a partition's beads without a
-display.  Code outside this module asks these instead of computing positions.
+readers ``_is_jm_fayers`` and ``_p_weight``, and ``rim_hook_leg_sum``, place a
+partition's beads without a display.  Code outside this module asks these
+instead of computing positions.
 """
 
 from __future__ import annotations
@@ -308,9 +309,12 @@ def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) ->
 
     The canonical sequence (rng=None) always removes the hook whose hand is
     highest; passing an rng picks uniformly instead, which is useful for
-    checking order-independence.  The walk moves beta-numbers in place.
+    checking order-independence.  The walk moves the default display's beads in place.
     """
-    betas = set(AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).occupied)
+    r = default_bead_count(la, p)
+    _require_runners(p)
+    la = partition(la)
+    betas = {*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))}
     total = 0
     while True:
         movable = sorted(m for m in betas if m > p and m - p not in betas)

@@ -1,15 +1,19 @@
 """The Mullineux involution via p-rim stripping, and rim-hook parity.
 
 The p-rim of a partition is walked from the top-right cell to the bottom-left
-in segments of p cells; a full segment skips the rest of its final row.
-``strip_p_rim`` takes it off by row arithmetic, and ``_add_p_rim`` puts it back
-by one walk of the segments from the bottom row up.  Stripping down to the empty
+in segments of p cells; a full segment skips the rest of its final row.  Row i
+(0-based) offers la_i - la_{i+1} + 1 cells, the row after the last counting as
+length 1, so rows s..k offer b_s - b_{k+1} with b_j = la_j - j: the sums
+telescope, and each segment ends where a bisection of the ascending -b_j finds it.
+``strip_p_rim`` takes the rim off segment by segment, and ``_add_p_rim`` puts it
+back segment by segment from the bottom row up.  Stripping down to the empty
 partition records the symbol (sizes stripped; row counts); the involution
 replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import ge, sub
 
@@ -20,24 +24,26 @@ from .partitions import (
     is_p_regular,
     is_prime,
     partition,
-    remove_node,
     residue,
 )
 
 
 def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
-    """Remove the p-rim; returns (smaller partition, cells removed, rows of ``la``)."""
+    """Remove the p-rim segment by segment; returns (smaller partition, cells removed, rows of ``la``)."""
     if not la:
         raise ValueError("cannot strip the empty partition")
-    taken, need = [], p  # cells the walk takes per row; cells its open segment lacks
-    for part, below in zip(la, la[1:] + (0,)):
-        take = min(part - max(below, 1) + 1, need)  # row i offers la_i - max(la_{i+1}, 1) + 1
-        taken.append(take)
-        need = need - take or p  # a filled segment restarts with the next row
-    parts = list(map(sub, la, taken))
+    if la[-1] < 1 or not all(map(ge, la, la[1:])):
+        reason = "parts not weakly decreasing" if la[-1] > 0 else f"non-positive part {la[-1]}"
+        raise ValueError(f"{la} is not a partition: {reason}")
+    nb = [*map(sub, range(len(la)), la), len(la) - 1]  # nb_j = j - la_j = -b_j, strictly ascending
+    parts = [part - 1 for part in la[1:]] + [0]  # a row inside a segment keeps la_{i+1} - 1 cells
+    s = 0  # the row where the open segment starts
+    while (end := bisect_left(nb, nb[s] + p, s + 1)) <= len(la):  # rows s..end-1 fill it
+        parts[end - 1] = end - 1 - nb[s] - p  # the row closing it keeps the rest
+        s = end
     if not all(map(ge, parts, parts[1:])):
         raise ValueError(f"{tuple(parts)} is not a partition: parts not weakly decreasing")
-    return tuple(parts[:len(parts) - parts.count(0)]), sum(taken), len(la)
+    return tuple(parts[:len(parts) - parts.count(0)]), sum(la) - sum(parts), len(la)
 
 
 @dataclass(frozen=True)
@@ -92,26 +98,25 @@ def _symbol_rows(la: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...
 def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
     """The unique partition with r rows whose p-rim strip yields (``mu``, ``a``).
 
-    One walk from the bottom row up places the segments, the last first.  A row
-    i passed through had mu_{i-1} + 1 cells and gives d_i = mu_{i-1} - mu_i + 1;
-    a segment starts in the lowest row whose d_i fills it (else in row 1), and
-    that row takes the rest.  Re-stripping validates the one candidate.
+    The segments are placed from the bottom row up, the last first.  A row i
+    passed through gets mu_{i-1} + 1 cells, so with c_t = mu_t - t the rows
+    s+1..end of a segment give c_s - c_end: a segment of ``size`` cells starts
+    in the lowest row s with c_{s-1} >= c_end + size (else in the top row), and
+    row s takes the rest.  Re-stripping validates the one candidate.
     """
     if r < len(mu) or r < 1:
         raise ValueError(f"cannot add a p-rim of {a} cells onto {mu} with {r} rows")
-    m = list(mu) + [0] * (r - len(mu))
-    la, end = m[:], r  # end: the bottom row of the segment being placed
+    m = [*mu, *[0] * (r - len(mu))]
+    nc = [*map(sub, range(r), m)]  # -c_t, strictly ascending
+    la, end = m[:1] + [part + 1 for part in m[:-1]], r - 1  # end: the placed segment's bottom row
     for size in [a - p * ((a - 1) // p)] + [p] * min((a - 1) // p, r):  # r rows fit at most r segments
-        start, given = end, 0  # given: what rows start+1..end give
-        while start > 1 and given + m[start - 2] - m[start - 1] + 1 < size:
-            given += m[start - 2] - m[start - 1] + 1
-            la[start - 1] = m[start - 2] + 1
-            start -= 1
-        la[start - 1] = m[start - 1] + size - given
+        start = bisect_right(nc, nc[end] - size, 0, end)
+        la[start] = size + start - nc[end]
         end = start - 1
-        if end < 1:
+        if end < 0:
             break
-    if not all(map(ge, la, la[1:])) or strip_p_rim(tuple(la), p) != (mu, a, r):
+    la[:start] = m[:start]  # rows above the top segment keep their cells
+    if la[-1] < 1 or not all(map(ge, la, la[1:])) or strip_p_rim(tuple(la), p) != (mu, a, r):
         raise ValueError(f"no unique p-rim addition for {(mu, a, r)}: []")
     return tuple(la)
 
@@ -170,12 +175,18 @@ def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:
     """The good-node pairing of :func:`check_good_node_compatibility`, given ``la``'s image."""
     image_goods = {residue(node, p): node for node in good_nodes(image, p)}
     for node in good_nodes(la, p):
-        smaller = remove_node(la, node)
+        smaller = _without(la, node)
         if not is_p_regular(smaller, p):
             continue
         mirror = image_goods.get(-residue(node, p) % p)
         if mirror is None:
             return False
-        if _mullineux(smaller, p) != remove_node(image, mirror):
+        if _mullineux(smaller, p) != _without(image, mirror):
             return False
     return True
+
+
+def _without(la: Partition, node: tuple[int, int]) -> Partition:
+    """``la`` less its removable ``node``, unchecked: a row of one cell is the last row."""
+    i = node[0]
+    return la[:i - 1] + (la[i - 1] - 1,) * (la[i - 1] > 1) + la[i:]

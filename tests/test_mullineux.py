@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from collections import Counter
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import pblock as pb
 from pblock.blocks import BeadNotation
+from pblock.abacus import rim_hook_removals
 from pblock.mullineux import _add_p_rim, _mullineux, rim_hook_leg_sum, strip_p_rim
 from conftest import all_partitions_up_to, partitions, regular_partitions
 
@@ -74,8 +76,19 @@ def test_strip_p_rim_matches_the_cell_walk_exhaustive():
 
 
 def test_strip_p_rim_names_a_result_that_is_not_a_partition():
-    with pytest.raises(ValueError, match=re.escape("(0, 4, 0) is not a partition: parts not weakly decreasing")):
+    with pytest.raises(ValueError, match=re.escape("(1, 1, 5) is not a partition: parts not weakly decreasing")):
         strip_p_rim((1, 1, 5), 5)
+
+
+@pytest.mark.parametrize("la, reason", [
+    ((3, 0), "non-positive part 0"),
+    ((2, 3), "parts not weakly decreasing"),
+    ((4, -1), "non-positive part -1"),
+])
+def test_strip_p_rim_rejects_input_that_is_not_a_partition(la, reason):
+    # The segment bisection needs positive, weakly decreasing parts.
+    with pytest.raises(ValueError, match=re.escape(f"{la} is not a partition: {reason}")):
+        strip_p_rim(la, 5)
 
 
 def test_symbol_worked_examples():
@@ -129,6 +142,17 @@ def test_add_p_rim_inverts_the_strip_exhaustive():
                             _add_p_rim(mu, a, r, p)
 
 
+@given(partitions(max_n=80).filter(bool), st.sampled_from([5, 7, 11, 23]))
+@settings(max_examples=200)
+def test_segment_bisection_matches_the_cell_walk(la, p):
+    # Beyond the exhaustive range: several segments per rim, and segments spanning many rows.
+    rim = p_rim(la, p)
+    per_row = Counter(i for i, _ in rim)
+    stripped = pb.partition(part - per_row[i] for i, part in enumerate(la, start=1))
+    assert strip_p_rim(la, p) == (stripped, len(rim), len(la))
+    assert _add_p_rim(*strip_p_rim(la, p), p) == la
+
+
 @pytest.mark.parametrize("a, r", [((0,), (1,)), ((2,), (-1,)), ((2.0,), (1,)), ((True,), (True,))])
 def test_symbol_entries_must_be_positive_integers(a, r):
     with pytest.raises(ValueError, match="entries of a Mullineux symbol must be positive integers"):
@@ -164,6 +188,22 @@ def test_unchecked_image_matches_the_flipped_symbol():
                 flipped = tuple(a - r + (1 if a % p else 0) for a, r in zip(symbol.a, symbol.r))
                 expected = pb.partition_from_symbol(pb.MullineuxSymbol(symbol.a, flipped), p)
                 assert _mullineux(la, p) == expected, (la, p)
+
+
+# SHA-256 of the lines "<la> -> <mullineux(la, p)>" over the sorted regular members of the
+# principal block, recorded before the strip and its inverse found segments by bisection.
+PRINCIPAL_IMAGE_DIGESTS = {
+    11: (330, "b03d78c984ae8533a48dd57bf4f51d5b89fa26727ecf3dd1fa6eb44433dd4cab"),
+    13: (520, "27ba713fc6a9faecb836be718c4b272c8a7ff2fdf1fd78ccef378582d823262b"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(PRINCIPAL_IMAGE_DIGESTS))
+def test_principal_block_images_match_the_recorded_digest(p):
+    lines = [f"{la} -> {pb.mullineux(la, p)}\n"
+             for la in sorted(pb.enumerate_block(pb.principal_block(p))) if pb.is_p_regular(la, p)]
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == PRINCIPAL_IMAGE_DIGESTS[p]
 
 
 def test_mullineux_worked_examples():
@@ -222,6 +262,18 @@ def test_parity_conjugation_invariant_small():
     for p in (5, 7):
         for la in all_partitions_up_to(16):
             assert pb.parity(la, p) == pb.parity(pb.conjugate(la), p)
+
+
+def test_leg_sum_matches_the_display_walk_exhaustive():
+    # rim_hook_leg_sum moves bare beta-numbers; rim_hook_removals goes through
+    # AbacusDisplay.push_up and leg_length, removing the topmost hand first as well.
+    for p in (2, 3, 5, 7):
+        for la in all_partitions_up_to(18):
+            total, current = 0, la
+            while removals := rim_hook_removals(current, p):
+                current, leg = removals[0]
+                total += leg
+            assert rim_hook_leg_sum(la, p) == total, (la, p)
 
 
 def test_parity_removal_order_independent_small():
