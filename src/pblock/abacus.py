@@ -24,22 +24,18 @@ from operator import sub
 from .partitions import (
     Node,
     Partition,
+    _require_modulus,
+    _require_odd_prime,
     is_p_regular,
     is_p_restricted,
-    is_prime,
     partition,
 )
 
 
 def default_bead_count(la: Partition, p: int) -> int:
     """Least multiple of p that accommodates the parts of ``la`` (at least p)."""
+    _require_modulus(p)
     return p * max(1, -(-len(la) // p))
-
-
-def _require_runners(p) -> None:
-    """An abacus needs an ``int`` number of runners, at least 2 (a bool or a float is refused)."""
-    if type(p) is not int or p < 2:
-        raise ValueError(f"p must be an integer at least 2, got {p}")
 
 
 def _decode_betas(betas, r: int) -> Partition:
@@ -90,7 +86,7 @@ class AbacusDisplay:
     rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _require_runners(self.p)
+        _require_modulus(self.p)
         if len(self.occupied) != self.r:
             raise ValueError(f"expected {self.r} beads, got {len(self.occupied)}")
         ordered = sorted(self.occupied)
@@ -103,10 +99,9 @@ class AbacusDisplay:
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
-        _require_runners(p)
+        la = partition(la)
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        la = partition(la)
         # Beads 1..r-k carry the zero parts (k = len(la)); part i, 0-based, sits at la_i + r - i.
         betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
         return cls(p, r, frozenset(betas))
@@ -272,7 +267,6 @@ def p_core(la: Partition, p: int) -> Partition:
 
 
 def p_weight(la: Partition, p: int) -> int:
-    _require_runners(p)
     return _p_weight(partition(la), p)
 
 
@@ -311,9 +305,8 @@ def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) ->
     highest; passing an rng picks uniformly instead, which is useful for
     checking order-independence.  The walk moves the default display's beads in place.
     """
-    r = default_bead_count(la, p)
-    _require_runners(p)
     la = partition(la)
+    r = default_bead_count(la, p)
     betas = {*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))}
     total = 0
     while True:
@@ -327,11 +320,10 @@ def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) ->
 
 
 def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:
-    if r is None:
-        r = default_bead_count(la, p)
-    if r % p != 0:
+    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p) if r is None else r)
+    if display.r % p != 0:
         raise ValueError(f"bead count {r} is not a multiple of {p}")
-    return AbacusDisplay.from_partition(la, p, r)
+    return display
 
 
 def p_quotient(la: Partition, p: int, r: int | None = None) -> PQuotient:
@@ -369,8 +361,7 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
     regular (both recursively passing), and the first row of mu_k plus the
     first column of mu_ell never exceeds B(k, ell) + 1.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("the test needs an odd prime p")
+    _require_odd_prime(p)
     return _is_jm_fayers(partition(la), p)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, _place, _pushed, default_bead_count, p_core
+from .mullineux import _regular
 from .partitions import (
     Partition,
     add_node,
@@ -226,9 +227,11 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
 # The principal block: <3^p> notation and classifiers
 # ---------------------------------------------------------------------------
 
-def _display_3p(la: Partition, p: int) -> AbacusDisplay:
-    """The <3^p> display of a principal-block partition; raises for any other input."""
+def _display_3p(la: Partition, p: int, i: int = 1) -> AbacusDisplay:
+    """The <3^p> display of a principal-block partition, runner i in range; raises for any other input."""
     require_block_prime(p)
+    if type(i) is not int or not 1 <= i <= p:
+        raise ValueError(f"runner {i} out of range for p={p}")
     if sum(la) == 3 * p:
         display = AbacusDisplay.from_partition(la, p, 3 * p)
         if display.counts() == (3,) * p:
@@ -249,7 +252,7 @@ def from_3p(nota: BeadNotation, p: int) -> Partition:
 
 def classify_3p(la: Partition, p: int) -> dict[str, bool]:
     """Regular/restricted/self-conjugate/hook flags of a principal-block partition."""
-    _display_3p(la, p)
+    la = _display_3p(la, p).to_partition()
     return {
         "p_regular": is_p_regular(la, p),
         "p_restricted": is_p_restricted(la, p),
@@ -274,9 +277,7 @@ def theta(la: Partition, p: int, i: int) -> Partition:
     Defined whenever the <3^p> display has a removable bead on runner i,
     regular or not; the result lies in B_i.
     """
-    if type(i) is not int or not 1 <= i <= p:
-        raise ValueError(f"runner {i} out of range for p={p}")
-    return _theta(_display_3p(la, p), i)
+    return _theta(_display_3p(la, p, i), i)
 
 
 def _theta(display: AbacusDisplay, i: int) -> Partition:
@@ -307,6 +308,7 @@ def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
     i - 1 to ``la_tilde``; there are two of them for i >= 2 and three for i = 1.
     Each lies in the principal block: see :func:`_partners`.
     """
+    la_tilde = partition(la_tilde)
     if not in_block(la_tilde, restriction_block(p, i)):
         raise ValueError(f"{la_tilde} is not in B_{i} for p={p}")
     return _partners(la_tilde, p, i)
@@ -326,6 +328,7 @@ def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
 
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:
     """The unique smaller partner with the same restriction to B_i (i >= 2)."""
+    la = partition(la)
     if not 2 <= i <= p:
         raise ValueError(f"sigma is defined for 2 <= i <= p, got {i}")
     pair = partners(theta(la, p, i), p, i)
@@ -339,11 +342,8 @@ def sigma_partner(la: Partition, p: int, i: int) -> Partition:
 
 def in_lambda_set(la: Partition, p: int, i: int) -> bool:
     """Normal-bead test on runner i of the <3^p> display (p-regular input only)."""
-    if type(i) is not int or not 1 <= i <= p:
-        raise ValueError(f"runner {i} out of range for p={p}")
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
-    display = _display_3p(la, p)
+    display = _display_3p(la, p, i)
+    _regular(la, p)
     return not set(display.beads_on_runner(i)).isdisjoint(display.normal_beads())
 
 
@@ -375,6 +375,7 @@ def loewy2_families(p: int) -> MappingProxyType[str, frozenset[BeadNotation]]:
 
 def loewy_length_detail(la: Partition, p: int) -> tuple[int, str]:
     """Loewy length 1-4 of the Specht module, with the clause that decided it."""
+    la = partition(la)
     nota = to_3p(la, p)
     if nota.runners in ((p,), (1, 1, 1)):
         return 1, "irreducible: row or column partition of the block"

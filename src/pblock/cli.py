@@ -18,7 +18,6 @@ from .partitions import (
     is_hook,
     is_p_regular,
     is_p_restricted,
-    is_prime,
     normal_nodes,
     parse_partition,
     removable_nodes,
@@ -31,11 +30,9 @@ DEEP_PRIME = 13
 def _prime_arg(text: str) -> int:
     try:
         p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}")
-    if not is_prime(p) or p < 5:
-        raise argparse.ArgumentTypeError(
-            f"p={p} rejected: the block theory here assumes odd characteristic at least 5")
+        blocks.require_block_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"p={text} rejected: {exc}") from None
     return p
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .partitions import Partition, conjugate, is_prime, partition
+from .partitions import Partition, _require_modulus, _require_odd_prime, conjugate, partition
 
 Diagram = list[list[int]]
 
 
 def p_adic_valuation(h: int, p: int) -> int:
     """Largest e with p**e dividing h, by repeated division."""
+    _require_modulus(p)
     if h == 0:
         raise ValueError("valuation of zero is undefined")
     e = 0
@@ -25,12 +26,14 @@ def hook_lengths(la: Partition) -> Diagram:
 
     With 0-based i and j it is ``(la[i] - i - 1) + (la'[j] - j)``: one map per row.
     """
+    la = partition(la)
     legs = [c - j for j, c in enumerate(conjugate(la))]
     return [list(map((part - i - 1).__add__, legs[:part])) for i, part in enumerate(la)]
 
 
 def p_power_diagram(la: Partition, p: int) -> Diagram:
     """Tableau of p-adic valuations of the hook lengths."""
+    _require_modulus(p)
     return [[p_adic_valuation(h, p) if h % p == 0 else 0 for h in row] for row in hook_lengths(la)]
 
 
@@ -41,8 +44,7 @@ def is_jm_direct(la: Partition, p: int) -> bool:
     entries in its row or all entries in its column coincide.  The quantifier
     runs over all nodes, not only rim nodes.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("the test needs an odd prime p")
+    _require_odd_prime(p)
     return _is_jm_direct(partition(la), p)
 
 

@@ -41,8 +41,6 @@ def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
     while (end := bisect_left(nb, nb[s] + p, s + 1)) <= len(la):  # rows s..end-1 fill it
         parts[end - 1] = end - 1 - nb[s] - p  # the row closing it keeps the rest
         s = end
-    if not all(map(ge, parts, parts[1:])):
-        raise ValueError(f"{tuple(parts)} is not a partition: parts not weakly decreasing")
     return tuple(parts[:len(parts) - parts.count(0)]), sum(la) - sum(parts), len(la)
 
 
@@ -69,10 +67,14 @@ class MullineuxSymbol:
         return {"a": list(self.a), "r": list(self.r)}
 
 
-def _regular(la: Partition, p: int) -> Partition:
-    """``la`` as a partition, once p is a prime and ``la`` is p-regular: the input boundary."""
+def _require_prime(p) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
+
+
+def _regular(la: Partition, p: int) -> Partition:
+    """``la`` as a partition, once p is a prime and ``la`` is p-regular: the input boundary."""
+    _require_prime(p)
     la = partition(la)
     if not is_p_regular(la, p):
         raise ValueError(f"{la} is not {p}-regular")
@@ -123,8 +125,7 @@ def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
 
 def partition_from_symbol(symbol: MullineuxSymbol, p: int) -> Partition:
     """Rebuild the partition encoded by a Mullineux symbol."""
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+    _require_prime(p)
     return _rebuild(symbol.a, symbol.r, p)
 
 
@@ -166,9 +167,8 @@ def check_good_node_compatibility(la: Partition, p: int) -> bool:
     the image must have a good node B of residue -alpha with
     m(la - A) = m(la) - B.
     """
-    if not is_p_regular(la, p):
-        raise ValueError(f"{la} is not {p}-regular")
-    return _good_nodes_pair_off(la, mullineux(la, p), p)
+    la = _regular(la, p)
+    return _good_nodes_pair_off(la, _mullineux(la, p), p)
 
 
 def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:

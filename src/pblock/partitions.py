@@ -3,6 +3,10 @@
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the empty partition of 0.  Nodes of the Young diagram are
 1-based ``(row, col)`` pairs, rows counted from the top.
+
+Public entry points check their arguments before use: :func:`partition` checks a
+partition, ``_require_modulus`` any p, ``_require_odd_prime`` the irreducibility tests' p,
+``mullineux._require_prime`` the Mullineux map's and ``blocks.require_block_prime`` a block's.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _require_modulus(p) -> None:
+    if type(p) is not int or p < 2:
+        raise ValueError(f"p must be an integer at least 2, got {p}")
+
+
+def _require_odd_prime(p) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError("the test needs an odd prime p")
 
 
 def partition(parts) -> Partition:
@@ -145,15 +159,13 @@ def lex_compare(la: Partition, mu: Partition) -> int:
 
 def is_p_regular(la: Partition, p: int) -> bool:
     """No p equal positive parts."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    _require_modulus(p)
     return all(len(tuple(run)) < p for _, run in groupby(la))
 
 
 def is_p_restricted(la: Partition, p: int) -> bool:
     """All gaps between consecutive parts (and the last part) are below p."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    _require_modulus(p)
     padded = la + (0,)
     return all(padded[i] - padded[i + 1] < p for i in range(len(la)))
 
@@ -205,6 +217,7 @@ def normal_nodes(la: Partition, p: int) -> list[Node]:
     removable nodes of one residue top-down, an addable node cancels the
     next removable node below it; the surviving removable nodes are normal.
     """
+    _require_modulus(p)
     events: dict[int, list[tuple[int, bool]]] = {}
     for node in addable_nodes(la):
         events.setdefault(residue(node, p), []).append((node[0], True))

@@ -28,6 +28,7 @@ from .blocks import (
     loewy_length,
     partners,
     principal_block,
+    require_block_prime,
     restriction_block,
     sigma_partner,
     tau,
@@ -45,10 +46,10 @@ from .mullineux import (
 )
 from .partitions import (
     Partition,
+    _require_odd_prime,
     format_partition,
     is_p_regular,
     is_p_restricted,
-    is_prime,
     normal_nodes,
     partitions_of,
     remove_node,
@@ -303,19 +304,14 @@ def check_theta_table(p: int) -> str:
 
 
 def _induced_pairs(p: int, i: int) -> dict[BeadNotation, tuple[BeadNotation, BeadNotation]]:
+    pairs = {_N2(i, i): (_N3(i, i, i), _N3(i - 1, i - 1, i - 1)),
+             _N2(i - 1): (_N3(i), _N3(i - 1)),
+             _N2(i, i - 1): (_N3(i, i), _N3(i - 1, i - 1))}
     if i == 2:
-        return {_N2(2, 2): (_N3(2, 2, 2), _N3(1, 1, 1)),
-                _N2(2): (_N3(2, 2, 1), _N3(2, 1, 1)),
-                _N2(1): (_N3(2), _N3(1)),
-                _N2(2, 1): (_N3(2, 2), _N3(1, 1))}
+        pairs[_N2(2)] = (_N3(2, 2, 1), _N3(2, 1, 1))
     if i == p:
-        return {_N2(p, p): (_N3(p, p, p), _N3(p - 1, p - 1, p - 1)),
-                _N2(p, p - 1): (_N3(p, p), _N3(p - 1, p - 1)),
-                _N2(p - 1): (_N3(p), _N3(p - 1)),
-                _N2(p - 1, p - 1): (_N3(p, p - 1), _N3(p - 1, p))}
-    return {_N2(i, i): (_N3(i, i, i), _N3(i - 1, i - 1, i - 1)),
-            _N2(i - 1): (_N3(i), _N3(i - 1)),
-            _N2(i, i - 1): (_N3(i, i), _N3(i - 1, i - 1))}
+        pairs[_N2(p - 1, p - 1)] = (_N3(p, p - 1), _N3(p - 1, p))
+    return pairs
 
 
 def check_partner_counts(p: int) -> str:
@@ -377,8 +373,7 @@ def check_loewy_partition(p: int) -> str:
 
 
 def check_oracle_equivalence(p: int) -> str:
-    if p == 2 or not is_prime(p):
-        raise ValueError("the test needs an odd prime p")
+    _require_odd_prime(p)
     checked = 0
     for n in range(28 + 1):
         for la in partitions_of(n):
@@ -436,6 +431,7 @@ class VerificationReport:
 
 def run_checks(p: int, names=None) -> VerificationReport:
     """Run the named checks (all of them by default), ordered by check name."""
+    require_block_prime(p)
     if names is None:
         names = sorted(CHECKS)
     unknown = [name for name in names if name not in CHECKS]

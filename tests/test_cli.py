@@ -95,6 +95,16 @@ def test_inspect_rejects_small_or_composite_p(capsys):
         assert "at least 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, reason", [("9", "p must be a prime at least 5, got 9"),
+                                         ("2", "p must be a prime at least 5, got 2"),
+                                         ("x", "invalid literal for int()")])
+def test_prime_arg_reports_the_block_rule(capsys, bad, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", bad])
+    assert exc.value.code == 2
+    assert f"argument --p: p={bad} rejected: {reason}" in capsys.readouterr().err
+
+
 def test_inspect_rejects_garbage_partition(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["inspect", "2,oops", "--p", "5"])

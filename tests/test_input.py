@@ -1,0 +1,97 @@
+"""The input boundary: every public entry point checks p and its partition before it uses them."""
+
+import signal
+from contextlib import contextmanager
+
+import pytest
+
+import pblock as pb
+from pblock import abacus, hooks
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a hang into a failure: raise TimeoutError once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+MODULUS_ENTRY_POINTS = {
+    "default_bead_count": pb.default_bead_count,
+    "p_core": pb.p_core,
+    "p_weight": pb.p_weight,
+    "p_quotient": pb.p_quotient,
+    "reordered_quotient": pb.reordered_quotient,
+    "rim_hook_removals": pb.rim_hook_removals,
+    "rim_hook_leg_sum": abacus.rim_hook_leg_sum,
+    "parity": pb.parity,
+    "p_power_diagram": pb.p_power_diagram,
+    "p_adic_valuation": lambda la, p: hooks.p_adic_valuation(sum(la), p),
+    "normal_nodes": pb.normal_nodes,
+    "good_nodes": pb.good_nodes,
+    "tau_p": pb.tau_p,
+    "is_p_regular": pb.is_p_regular,
+    "is_p_restricted": pb.is_p_restricted,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULUS_ENTRY_POINTS))
+@pytest.mark.parametrize("p", [0, 1, 5.0, True])
+def test_entry_points_reject_a_modulus_below_2_or_not_an_int(name, p):
+    with deadline(5), pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
+        MODULUS_ENTRY_POINTS[name]((3, 1), p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 5.0, True])
+def test_quotients_with_an_explicit_bead_count_reject_the_modulus_too(p):
+    for entry in (pb.p_quotient, pb.reordered_quotient):
+        with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
+            entry((3, 1), p, 10)
+
+
+STAIRCASE = (5, 4, 3, 2, 1)
+TOP = pb.from_3p(pb.BeadNotation(3, (5, 4)), 5)  # the larger partner on runner 5
+
+# Entry points that take a partition first, with the rest of their arguments.
+CANONICAL_CASES = [
+    (pb.classify_3p, STAIRCASE, (5,)),
+    (pb.loewy_length, STAIRCASE, (5,)),
+    (pb.loewy_length_detail, STAIRCASE, (5,)),
+    (pb.to_3p, STAIRCASE, (5,)),
+    (pb.theta, STAIRCASE, (5, 3)),
+    (pb.in_lambda_set, STAIRCASE, (5, 3)),
+    (pb.partners, pb.theta(STAIRCASE, 5, 3), (5, 3)),
+    (pb.sigma_partner, TOP, (5, 5)),
+    (pb.check_good_node_compatibility, STAIRCASE, (5,)),
+    (pb.mullineux, STAIRCASE, (5,)),
+    (pb.parity, STAIRCASE, (5,)),
+    (pb.p_core, STAIRCASE, (5,)),
+    (pb.p_quotient, STAIRCASE, (5,)),
+    (pb.rim_hook_removals, STAIRCASE, (5,)),
+    (pb.is_jm_direct, STAIRCASE, (5,)),
+    (pb.is_jm_fayers, STAIRCASE, (5,)),
+    (pb.hook_lengths, STAIRCASE, ()),
+    (pb.p_power_diagram, (10, 5), (5,)),
+]
+
+
+@pytest.mark.parametrize("entry, la, args", CANONICAL_CASES,
+                         ids=[entry.__name__ for entry, _, _ in CANONICAL_CASES])
+def test_a_list_or_trailing_zeros_get_the_canonical_answer(entry, la, args):
+    expected = entry(la, *args)
+    assert entry(list(la), *args) == expected
+    assert entry(la + (0,), *args) == expected
+    assert entry([*la, 0, 0], *args) == expected
+
+
+def test_hook_lengths_reject_a_non_partition():
+    with pytest.raises(ValueError, match="is not a partition"):
+        pb.hook_lengths((1, 2))

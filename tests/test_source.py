@@ -27,3 +27,18 @@ def test_modules_use_every_name_they_import():
         unused += [(path.stem, name, line) for name, line in imported.items()
                    if name not in used and (path.stem, name) not in KEPT]
     assert not unused
+
+
+# One message per rule for p; each must be raised from exactly one place.
+P_RULES = ("p must be an integer at least 2, got", "the test needs an odd prime p",
+           "p must be a prime, got", "p must be a prime at least 5, got")
+
+
+def test_each_rule_for_p_is_raised_from_one_place():
+    raises = []
+    for path in sorted(pathlib.Path(pblock.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        raises += [(path.stem, ast.unparse(node)) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    for message in P_RULES:
+        places = [module for module, text in raises if message in text]
+        assert len(places) == 1, (message, places)

@@ -154,3 +154,14 @@ def test_xi_sets_names_a_dropped_placement(monkeypatch, i, dropped):
         nota for nota in real(p, k) if (k, str(nota)) != (i, dropped)))
     assert _failure("xi-sets") == (f"B_{i}: {dropped}",
                                    f"irreducible set of B_{i} differs from the classified list")
+
+
+@pytest.mark.parametrize("names", [None, ["oracle-equivalence"], ["xi-sets", "prop31"]])
+def test_run_checks_applies_the_block_rule_before_any_check(monkeypatch, names):
+    ran = []
+    for name in verify.CHECKS:
+        monkeypatch.setitem(verify.CHECKS, name, ran.append)
+    for p in (3, 9, 5.0):
+        with pytest.raises(ValueError, match=f"p must be a prime at least 5, got {p}"):
+            run_checks(p, names)
+    assert ran == []
