@@ -6,7 +6,8 @@ the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
 Only this module places beads.  A display sorts its beads into per-runner rows
-once, when it is built, and reads its counts, quotient, pyramid and normal beads
+once, when it is built (``from_partition`` places a partition's beads in order
+and needs no sort), and reads its counts, quotient, pyramid and normal beads
 off those rows.  ``_pushed`` turns runner counts into the pushed-up display (the
 core's) and ``_place`` moves its beads down by quotient components; the unchecked
 readers ``_is_jm_fayers`` and ``_p_weight``, and ``rim_hook_leg_sum``, place a
@@ -17,9 +18,9 @@ instead of computing positions.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, sub
 
 from .partitions import (
     Node,
@@ -69,8 +70,10 @@ def _place(p: int, counts, rest: frozenset[int], moves) -> set[int]:
 
 def _component(rows: tuple[int, ...]) -> Partition:
     """Bead weights of one runner's ascending rows, bottom bead first."""
-    weights = [t - s for s, t in enumerate(rows, start=1)]
-    return tuple(w for w in reversed(weights) if w)
+    weights = [t - s for s, t in enumerate(rows, start=1)]  # ascending, zeros first
+    del weights[:bisect_right(weights, 0)]
+    weights.reverse()
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,29 @@ class AbacusDisplay:
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
+        """The r-bead display of ``la``, its rows placed in one pass without a sort."""
+        _require_modulus(p)
         la = partition(la)
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        # Beads 1..r-k carry the zero parts (k = len(la)); part i, 0-based, sits at la_i + r - i.
-        betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
-        return cls(p, r, frozenset(betas))
+        # Beads 1..z carry the z = r - k zero parts (k = len(la)), filling whole rows
+        # from the top; part i, 0-based, sits at la_i + r - i, so the parts read
+        # bottom-up ascend and append to each runner's rows in order.
+        z = r - len(la)
+        full, extra = divmod(z, p)
+        rows = [[*range(1, full + 1 + (j < extra))] for j in range(p)]
+        betas = [*range(1, z + 1), *map(add, reversed(la), range(z + 1, r + 1))]
+        for m in betas[z:]:
+            rows[(m - 1) % p].append((m - 1) // p + 1)
+        display = object.__new__(cls)  # the rows are placed, so __post_init__'s sort is skipped
+        display.__dict__.update(p=p, r=r, occupied=frozenset(betas),
+                                rows=tuple([tuple(beads) for beads in rows]))
+        return display
 
     @staticmethod
     def partition_from_runners(p: int, counts, components) -> Partition:
         """The partition with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
+        _require_modulus(p)
         if len(components) != len(counts):
             raise ValueError(f"{len(counts)} runner counts but {len(components)} components")
         moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
@@ -127,11 +143,15 @@ class AbacusDisplay:
 
     def counts(self) -> tuple[int, ...]:
         """Beads per runner, left to right."""
-        return tuple(map(len, self.rows))
+        return tuple([len(rows) for rows in self.rows])
 
     def components(self) -> tuple[Partition, ...]:
-        """Bead weights per runner, bottom bead first: the left-to-right quotient."""
-        return tuple(map(_component, self.rows))
+        """Bead weights per runner, bottom bead first: the left-to-right quotient.
+
+        A runner whose last bead sits in the row of its bead count is not moved.
+        """
+        return tuple([_component(rows) if rows and rows[-1] != len(rows) else ()
+                      for rows in self.rows])
 
     def weight(self) -> int:
         """The p-weight: each runner's rows, less the rows 1..c its pushed-up beads fill."""
@@ -186,7 +206,7 @@ class AbacusDisplay:
         for i, mine in enumerate(self.rows, start=1):
             # Rows of the compared runner, level with runner i.  For runner 1,
             # row 1 stands for position 0, where no bead can move.
-            left = self.rows[i - 2] if i > 1 else (1,) + tuple(t + 1 for t in self.rows[-1])
+            left = self.rows[i - 2] if i > 1 else (1, *[t + 1 for t in self.rows[-1]])
             for t in mine:
                 if t in left:
                     continue  # not removable
@@ -303,20 +323,35 @@ def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) ->
 
     The canonical sequence (rng=None) always removes the hook whose hand is
     highest; passing an rng picks uniformly instead, which is useful for
-    checking order-independence.  The walk moves the default display's beads in place.
+    checking order-independence.  The walk moves the default display's beads,
+    kept ascending, in place: the highest movable bead is the first found from
+    the top, and a leg, the beads strictly between m - p and m, is a difference
+    of two bisections.
     """
     la = partition(la)
     r = default_bead_count(la, p)
-    betas = {*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))}
+    z = r - len(la)
+    betas = [*range(1, z + 1), *map(add, reversed(la), range(z + 1, r + 1))]
+    occupied = set(betas)
     total = 0
     while True:
-        movable = sorted(m for m in betas if m > p and m - p not in betas)
-        if not movable:
-            return total
-        m = movable[-1] if rng is None else rng.choice(movable)
-        total += sum(1 for b in betas if m - p < b < m)
-        betas.remove(m)
-        betas.add(m - p)
+        if rng is None:
+            k = r - 1
+            while k >= 0 and betas[k] > p and betas[k] - p in occupied:
+                k -= 1
+            if k < 0 or betas[k] <= p:
+                return total
+        else:
+            movable = [k for k, m in enumerate(betas) if m > p and m - p not in occupied]
+            if not movable:
+                return total
+            k = rng.choice(movable)
+        m = betas[k]
+        total += k - bisect_right(betas, m - p)
+        del betas[k]
+        insort(betas, m - p)
+        occupied.remove(m)
+        occupied.add(m - p)
 
 
 def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:

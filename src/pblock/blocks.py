@@ -20,7 +20,7 @@ from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, _place, _pushed
 from .mullineux import _regular
 from .partitions import (
     Partition,
-    add_node,
+    _require_modulus,
     addable_nodes,
     conjugate,
     format_partition,
@@ -32,7 +32,6 @@ from .partitions import (
     partition,
     partitions_of,
     removable_nodes,
-    residue,
 )
 
 
@@ -66,6 +65,8 @@ class BeadNotation:
         k = len(self.runners)
         if not 1 <= k <= self.weight:
             raise ValueError(f"bad runner tuple {self.runners} for weight {self.weight}")
+        if any(type(r) is not int for r in self.runners):
+            raise ValueError(f"runner indices must be integers: {self.runners}")
         if any(r < 1 for r in self.runners):
             raise ValueError(f"runner indices are 1-based: {self.runners}")
         # Tuples of equal-weight beads are unordered; store them descending.
@@ -85,9 +86,9 @@ class BeadNotation:
     @classmethod
     def from_components(cls, weight: int, components: dict[int, Partition]) -> "BeadNotation":
         beads = sorted(((w, r) for r, c in components.items() for w in c), reverse=True)
-        if tuple(w for w, _ in beads) != _bead_weights(weight, len(beads)):
+        if tuple([w for w, _ in beads]) != _bead_weights(weight, len(beads)):
             raise ValueError(f"components {components} do not fit a weight-{weight} placement")
-        return cls(weight, tuple(r for _, r in beads))
+        return cls(weight, tuple([r for _, r in beads]))
 
 
 def _bead_weights(weight: int, k: int) -> tuple[int, ...]:
@@ -119,6 +120,7 @@ def counts_223(p: int, s: int) -> tuple[int, ...]:
 
 def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     """The partition named by a placement on the display with the given bead counts."""
+    _require_modulus(p)
     if any(r > p for r in nota.runners):
         raise ValueError(f"runner out of range in {nota} for p={p}")
     comps = nota.components()
@@ -322,8 +324,9 @@ def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
     content decides the block (Nakayama): no result needs a core test.
     """
     res = (i - 1) % p
-    return tuple(sorted((add_node(la_tilde, node) for node in addable_nodes(la_tilde)
-                         if residue(node, p) == res), reverse=True))
+    # Addable nodes come top-down, so the partners come in descending lex order.
+    return tuple([la_tilde[:row - 1] + (col,) + la_tilde[row:]
+                  for row, col in addable_nodes(la_tilde) if (col - row) % p == res])
 
 
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:

@@ -20,6 +20,8 @@ from operator import ge, sub
 from .abacus import rim_hook_leg_sum
 from .partitions import (
     Partition,
+    _require_modulus,
+    _without,
     good_nodes,
     is_p_regular,
     is_prime,
@@ -30,6 +32,7 @@ from .partitions import (
 
 def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
     """Remove the p-rim segment by segment; returns (smaller partition, cells removed, rows of ``la``)."""
+    _require_modulus(p)
     if not la:
         raise ValueError("cannot strip the empty partition")
     if la[-1] < 1 or not all(map(ge, la, la[1:])):
@@ -185,8 +188,3 @@ def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:
             return False
     return True
 
-
-def _without(la: Partition, node: tuple[int, int]) -> Partition:
-    """``la`` less its removable ``node``, unchecked: a row of one cell is the last row."""
-    i = node[0]
-    return la[:i - 1] + (la[i - 1] - 1,) * (la[i - 1] > 1) + la[i:]

@@ -7,12 +7,18 @@ empty tuple is the empty partition of 0.  Nodes of the Young diagram are
 Public entry points check their arguments before use: :func:`partition` checks a
 partition, ``_require_modulus`` any p, ``_require_odd_prime`` the irreducibility tests' p,
 ``mullineux._require_prime`` the Mullineux map's and ``blocks.require_block_prime`` a block's.
+
+The kernels that a sweep calls once per partition build each tuple from a list,
+a slice or a concatenation, whose length is known, never with ``tuple()`` over a
+generator, ``map`` or ``groupby``: such a build starts from 10 slots and shrinks,
+and CPython parks the shrunken tuple, once freed, on its per-length free list,
+from which a later build of unknown length never draws.
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import groupby
+from itertools import chain, islice
+from operator import ge, index, is_, ne
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -48,18 +54,19 @@ def partition(parts) -> Partition:
     """
     la = tuple(parts)
     try:
-        p = tuple(map(operator.index, la))
+        p = list(map(index, la))
     except TypeError as exc:
         raise ValueError(f"{la} is not a partition: {exc}") from None
     if bool in map(type, la):
         raise ValueError(f"{la} is not a partition: a boolean part is not an integer")
     while p and p[-1] == 0:
-        p = p[:-1]
+        p.pop()
     if p and p[-1] < 0:
         raise ValueError(f"{la} is not a partition: negative part {p[-1]}")
-    if p != tuple(sorted(p, reverse=True)):
+    if not all(map(ge, p, p[1:])):
         raise ValueError(f"{la} is not a partition: parts not weakly decreasing")
-    return p
+    # ``index`` returns a plain int as itself, so a canonical tuple is returned unchanged.
+    return la if len(p) == len(la) and all(map(is_, p, la)) else tuple(p)
 
 
 def parse_partition(text: str) -> Partition:
@@ -158,16 +165,15 @@ def lex_compare(la: Partition, mu: Partition) -> int:
 
 
 def is_p_regular(la: Partition, p: int) -> bool:
-    """No p equal positive parts."""
+    """No p equal positive parts: no part equals the part p - 1 rows below it."""
     _require_modulus(p)
-    return all(len(tuple(run)) < p for _, run in groupby(la))
+    return all(map(ne, la, islice(la, p - 1, None)))
 
 
 def is_p_restricted(la: Partition, p: int) -> bool:
     """All gaps between consecutive parts (and the last part) are below p."""
     _require_modulus(p)
-    padded = la + (0,)
-    return all(padded[i] - padded[i + 1] < p for i in range(len(la)))
+    return all(a - b < p for a, b in zip(la, chain(islice(la, 1, None), (0,))))
 
 
 def residue(node: Node, p: int) -> int:
@@ -213,27 +219,24 @@ def add_node(la: Partition, node: Node) -> Partition:
 def normal_nodes(la: Partition, p: int) -> list[Node]:
     """Removable nodes passing the matching condition against addable nodes above.
 
-    Implemented as a bracketing scan per residue: reading the addable and
-    removable nodes of one residue top-down, an addable node cancels the
-    next removable node below it; the surviving removable nodes are normal.
+    Implemented as one top-down bracketing scan: an addable node of residue c
+    cancels the next removable node of residue c below it, and the removable
+    nodes left uncancelled are normal.  ``open_addables[c]`` counts the
+    addable nodes of residue c still waiting for a removable node.
     """
     _require_modulus(p)
-    events: dict[int, list[tuple[int, bool]]] = {}
-    for node in addable_nodes(la):
-        events.setdefault(residue(node, p), []).append((node[0], True))
-    for node in removable_nodes(la):
-        events.setdefault(residue(node, p), []).append((node[0], False))
+    open_addables = [0] * p
     normals = []
-    for res, items in events.items():
-        open_addables = 0
-        for row, is_addable in sorted(items):
-            if is_addable:
-                open_addables += 1
-            elif open_addables > 0:
-                open_addables -= 1
+    for i, part in enumerate(la):
+        if part > (la[i + 1] if i + 1 < len(la) else 0):  # removable node (i + 1, part)
+            res = (part - i - 1) % p
+            if open_addables[res]:
+                open_addables[res] -= 1
             else:
-                normals.append((row, la[row - 1]))
-    return sorted(normals)
+                normals.append((i + 1, part))
+        if i == 0 or la[i - 1] > part:  # addable node (i + 1, part + 1)
+            open_addables[(part - i) % p] += 1
+    return normals
 
 
 def good_nodes(la: Partition, p: int) -> list[Node]:
@@ -242,6 +245,12 @@ def good_nodes(la: Partition, p: int) -> list[Node]:
     for node in normal_nodes(la, p):
         lowest[residue(node, p)] = node
     return sorted(lowest.values())
+
+
+def _without(la: Partition, node: Node) -> Partition:
+    """``la`` less its removable ``node``, unchecked: a row of one cell is the last row."""
+    i = node[0]
+    return la[:i - 1] + (la[i - 1] - 1,) * (la[i - 1] > 1) + la[i:]
 
 
 def is_hook(la: Partition) -> bool:

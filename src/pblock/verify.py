@@ -47,12 +47,12 @@ from .mullineux import (
 from .partitions import (
     Partition,
     _require_odd_prime,
+    _without,
     format_partition,
     is_p_regular,
     is_p_restricted,
     normal_nodes,
     partitions_of,
-    remove_node,
     removable_nodes,
 )
 
@@ -219,7 +219,7 @@ def check_lemma34(p: int) -> str:
     for la in both:
         witnesses = []
         for node in removable_nodes(la):
-            smaller = remove_node(la, node)
+            smaller = _without(la, node)
             if (_p_weight(smaller, p) == 2 and is_p_regular(smaller, p)
                     and is_p_restricted(smaller, p)):
                 witnesses.append(node)

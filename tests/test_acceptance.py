@@ -79,7 +79,7 @@ def test_criterion_04_mullineux_conformance():
 
 
 def test_criterion_05_involution_and_parity():
-    with criterion(5, "involution and parity sweeps", budget=60):
+    with criterion(5, "involution and parity sweeps", budget=30):
         for p in (5, 7, 11):
             # Each image is computed once; the involution is read back from the map.
             images = {la: pb.mullineux(la, p)

@@ -7,6 +7,7 @@ import pytest
 
 import pblock as pb
 from pblock import abacus, hooks
+from pblock.mullineux import strip_p_rim
 
 
 @contextmanager
@@ -40,11 +41,12 @@ MODULUS_ENTRY_POINTS = {
     "tau_p": pb.tau_p,
     "is_p_regular": pb.is_p_regular,
     "is_p_restricted": pb.is_p_restricted,
+    "strip_p_rim": strip_p_rim,
 }
 
 
 @pytest.mark.parametrize("name", sorted(MODULUS_ENTRY_POINTS))
-@pytest.mark.parametrize("p", [0, 1, 5.0, True])
+@pytest.mark.parametrize("p", [0, 1, -3, 5.0, True])
 def test_entry_points_reject_a_modulus_below_2_or_not_an_int(name, p):
     with deadline(5), pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
         MODULUS_ENTRY_POINTS[name]((3, 1), p)
@@ -55,6 +57,20 @@ def test_quotients_with_an_explicit_bead_count_reject_the_modulus_too(p):
     for entry in (pb.p_quotient, pb.reordered_quotient):
         with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
             entry((3, 1), p, 10)
+
+
+@pytest.mark.parametrize("p", [0, 1, -3, 5.0, True])
+def test_runner_decoding_checks_the_modulus(p):
+    with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
+        pb.AbacusDisplay.partition_from_runners(p, (3,) * 5, [(1,), (), (), (), ()])
+    with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
+        pb.decode_notation(pb.BeadNotation(3, (1,)), p, (3,) * 5)
+
+
+@pytest.mark.parametrize("runners", [(1.5,), (True,), (2, 1.0)])
+def test_bead_notation_rejects_runners_that_are_not_int(runners):
+    with pytest.raises(ValueError, match="runner indices must be integers"):
+        pb.BeadNotation(3, runners)
 
 
 STAIRCASE = (5, 4, 3, 2, 1)
