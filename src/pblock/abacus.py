@@ -6,8 +6,7 @@ the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
 Only this module places beads.  A display sorts its beads into per-runner rows
-once, when it is built (``from_partition`` places a partition's beads in order
-and needs no sort), and reads its counts, quotient, pyramid and normal beads
+once, when it is built, and reads its counts, quotient, pyramid and normal beads
 off those rows.  ``_pushed`` turns runner counts into the pushed-up display (the
 core's) and ``_place`` moves its beads down by quotient components; the unchecked
 readers ``_is_jm_fayers`` and ``_p_weight``, and ``rim_hook_leg_sum``, place a
@@ -98,28 +97,16 @@ class AbacusDisplay:
         rows = [[] for _ in range(self.p)]
         for m in ordered:
             rows[(m - 1) % self.p].append((m - 1) // self.p + 1)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "rows", tuple([tuple(beads) for beads in rows]))
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
-        """The r-bead display of ``la``, its rows placed in one pass without a sort."""
-        _require_modulus(p)
         la = partition(la)
         if r < len(la):
             raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        # Beads 1..z carry the z = r - k zero parts (k = len(la)), filling whole rows
-        # from the top; part i, 0-based, sits at la_i + r - i, so the parts read
-        # bottom-up ascend and append to each runner's rows in order.
-        z = r - len(la)
-        full, extra = divmod(z, p)
-        rows = [[*range(1, full + 1 + (j < extra))] for j in range(p)]
-        betas = [*range(1, z + 1), *map(add, reversed(la), range(z + 1, r + 1))]
-        for m in betas[z:]:
-            rows[(m - 1) % p].append((m - 1) // p + 1)
-        display = object.__new__(cls)  # the rows are placed, so __post_init__'s sort is skipped
-        display.__dict__.update(p=p, r=r, occupied=frozenset(betas),
-                                rows=tuple([tuple(beads) for beads in rows]))
-        return display
+        # Beads 1..r-k carry the zero parts (k = len(la)); part i, 0-based, sits at la_i + r - i.
+        betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
+        return cls(p, r, frozenset(betas))
 
     @staticmethod
     def partition_from_runners(p: int, counts, components) -> Partition:

@@ -21,6 +21,7 @@ from .mullineux import _regular
 from .partitions import (
     Partition,
     _require_modulus,
+    _with,
     addable_nodes,
     conjugate,
     format_partition,
@@ -32,6 +33,7 @@ from .partitions import (
     partition,
     partitions_of,
     removable_nodes,
+    residue,
 )
 
 
@@ -325,8 +327,8 @@ def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
     """
     res = (i - 1) % p
     # Addable nodes come top-down, so the partners come in descending lex order.
-    return tuple([la_tilde[:row - 1] + (col,) + la_tilde[row:]
-                  for row, col in addable_nodes(la_tilde) if (col - row) % p == res])
+    return tuple([_with(la_tilde, node) for node in addable_nodes(la_tilde)
+                  if residue(node, p) == res])
 
 
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:

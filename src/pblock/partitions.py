@@ -200,20 +200,28 @@ def addable_nodes(la: Partition) -> list[Node]:
     return nodes
 
 
+def _without(la: Partition, node: Node) -> Partition:
+    """``la`` less its removable ``node``, unchecked: a row of one cell is the last row."""
+    i = node[0]
+    return la[:i - 1] + (la[i - 1] - 1,) * (la[i - 1] > 1) + la[i:]
+
+
+def _with(la: Partition, node: Node) -> Partition:
+    """``la`` plus its addable ``node``, unchecked."""
+    row, col = node
+    return la[:row - 1] + (col,) + la[row:]
+
+
 def remove_node(la: Partition, node: Node) -> Partition:
     if node not in removable_nodes(la):
         raise ValueError(f"{node} is not a removable node of {la}")
-    i = node[0]
-    return partition(la[: i - 1] + (la[i - 1] - 1,) + la[i:])
+    return _without(la, node)
 
 
 def add_node(la: Partition, node: Node) -> Partition:
     if node not in addable_nodes(la):
         raise ValueError(f"{node} is not an addable node of {la}")
-    i = node[0]
-    if i == len(la) + 1:
-        return la + (1,)
-    return la[: i - 1] + (la[i - 1] + 1,) + la[i:]
+    return _with(la, node)
 
 
 def normal_nodes(la: Partition, p: int) -> list[Node]:
@@ -227,15 +235,17 @@ def normal_nodes(la: Partition, p: int) -> list[Node]:
     _require_modulus(p)
     open_addables = [0] * p
     normals = []
-    for i, part in enumerate(la):
-        if part > (la[i + 1] if i + 1 < len(la) else 0):  # removable node (i + 1, part)
-            res = (part - i - 1) % p
-            if open_addables[res]:
-                open_addables[res] -= 1
-            else:
-                normals.append((i + 1, part))
-        if i == 0 or la[i - 1] > part:  # addable node (i + 1, part + 1)
-            open_addables[(part - i) % p] += 1
+    addables = iter(addable_nodes(la))
+    above = next(addables)  # the last addable node, in row len(la) + 1, is below every removable one
+    for node in removable_nodes(la):
+        while above[0] < node[0]:
+            open_addables[residue(above, p)] += 1
+            above = next(addables)
+        res = residue(node, p)
+        if open_addables[res]:
+            open_addables[res] -= 1
+        else:
+            normals.append(node)
     return normals
 
 
@@ -245,12 +255,6 @@ def good_nodes(la: Partition, p: int) -> list[Node]:
     for node in normal_nodes(la, p):
         lowest[residue(node, p)] = node
     return sorted(lowest.values())
-
-
-def _without(la: Partition, node: Node) -> Partition:
-    """``la`` less its removable ``node``, unchecked: a row of one cell is the last row."""
-    i = node[0]
-    return la[:i - 1] + (la[i - 1] - 1,) * (la[i - 1] > 1) + la[i:]
 
 
 def is_hook(la: Partition) -> bool:

@@ -17,7 +17,7 @@ import pytest
 import pblock as pb
 from pblock.abacus import AbacusDisplay, _component, rim_hook_leg_sum
 from pblock.blocks import BeadNotation, _bead_weights, _partners
-from pblock.partitions import _without
+from pblock.partitions import _with, _without
 from conftest import all_partitions_up_to
 
 PRIMES = (2, 3, 5, 7)
@@ -92,10 +92,29 @@ def old_rim_hook_leg_sum(la, p, rng=None):
         betas.add(m - p)
 
 
+def old_remove_node(la, node):
+    i = node[0]
+    return old_partition(la[: i - 1] + (la[i - 1] - 1,) + la[i:])
+
+
+def old_add_node(la, node):
+    i = node[0]
+    if i == len(la) + 1:
+        return la + (1,)
+    return la[: i - 1] + (la[i - 1] + 1,) + la[i:]
+
+
 def old_partners(la_tilde, p, i):
     res = (i - 1) % p
-    return tuple(sorted((pb.add_node(la_tilde, node) for node in pb.addable_nodes(la_tilde)
+    return tuple(sorted((old_add_node(la_tilde, node) for node in pb.addable_nodes(la_tilde)
                          if pb.residue(node, p) == res), reverse=True))
+
+
+def old_rows(p, occupied):
+    rows = [[] for _ in range(p)]
+    for m in sorted(occupied):
+        rows[(m - 1) % p].append((m - 1) // p + 1)
+    return tuple(map(tuple, rows))
 
 
 def old_from_components(weight, components):
@@ -132,34 +151,37 @@ def test_node_kernels_match_the_old_rules(p):
         assert pb.is_p_restricted(la, p) == old_is_p_restricted(la, p), la
         assert pb.normal_nodes(la, p) == old_normal_nodes(la, p), la
         for node in pb.removable_nodes(la):
-            assert _without(la, node) == pb.remove_node(la, node), (la, node)
+            assert _without(la, node) == old_remove_node(la, node), (la, node)
+            assert pb.remove_node(la, node) == old_remove_node(la, node), (la, node)
+        for node in pb.addable_nodes(la):
+            assert _with(la, node) == old_add_node(la, node), (la, node)
+            assert pb.add_node(la, node) == old_add_node(la, node), (la, node)
         for i in range(1, p + 1):
             assert _partners(la, p, i) == old_partners(la, p, i), (la, i)
 
 
-def assert_display_matches_the_sorted_build(display):
-    sorted_build = AbacusDisplay(display.p, display.r, display.occupied)
-    assert display == sorted_build
-    assert display.rows == sorted_build.rows
-    assert display.counts() == tuple(map(len, sorted_build.rows))
-    assert display.components() == tuple(map(old_component, sorted_build.rows))
-    for rows in sorted_build.rows:
-        assert _component(rows) == old_component(rows)
+def assert_display_matches_the_old_rules(display):
+    rows = old_rows(display.p, display.occupied)
+    assert display.rows == rows
+    assert display.counts() == tuple(map(len, rows))
+    assert display.components() == tuple(map(old_component, rows))
+    for runner in rows:
+        assert _component(runner) == old_component(runner)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_displays_match_the_sorted_build(p):
+def test_display_readers_match_the_old_rules(p):
     for la in SMALL:
         r = pb.default_bead_count(la, p)
         for beads in (r, r + 1, r + p):
-            assert_display_matches_the_sorted_build(AbacusDisplay.from_partition(la, p, beads))
+            assert_display_matches_the_old_rules(AbacusDisplay.from_partition(la, p, beads))
 
 
-def test_principal_block_displays_match_the_sorted_build():
+def test_principal_block_displays_match_the_old_rules():
     p = 11
     for la in pb.enumerate_block(pb.principal_block(p)):
         display = AbacusDisplay.from_partition(la, p, 3 * p)
-        assert_display_matches_the_sorted_build(display)
+        assert_display_matches_the_old_rules(display)
         assert pb.to_3p(la, p) == old_from_components(3, dict(enumerate(display.components(), 1)))
 
 
