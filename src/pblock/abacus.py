@@ -5,18 +5,17 @@ Positions are 1-based, numbered row-major: position m sits on runner
 the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
-Only this module places beads.  A display sorts its beads into per-runner rows
-once, when it is built, and reads its counts, quotient, pyramid and normal beads
-off those rows.  ``_pushed`` turns runner counts into the pushed-up display (the
-core's) and ``_place`` moves its beads down by quotient components; the unchecked
-readers ``_is_jm_fayers`` and ``_p_weight``, and ``rim_hook_leg_sum``, place a
-partition's beads without a display.  Code outside this module asks these
-instead of computing positions.
+Only this module places beads, one helper per rule: ``_betas`` places a partition's
+beads, ``_rows`` sorts positions into runner rows and ``_weight`` reads the p-weight
+off them.  A display sorts its beads once, when built, and reads its counts, quotient,
+pyramid and normal beads off its rows; ``_is_jm_fayers`` and ``_p_weight`` read rows
+without a display.  ``_pushed`` turns runner counts into the pushed-up display (the
+core's) and ``_place`` moves its beads down by quotient components.  Code outside this
+module asks these instead of computing positions.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import add, sub
@@ -24,6 +23,7 @@ from operator import add, sub
 from .partitions import (
     Node,
     Partition,
+    _require_bead_count,
     _require_modulus,
     _require_odd_prime,
     is_p_regular,
@@ -36,6 +36,26 @@ def default_bead_count(la: Partition, p: int) -> int:
     """Least multiple of p that accommodates the parts of ``la`` (at least p)."""
     _require_modulus(p)
     return p * max(1, -(-len(la) // p))
+
+
+def _betas(la: Partition, r: int) -> list[int]:
+    """Ascending positions of ``la``'s r >= len(la) beads: part i, 0-based, at la_i + r - i."""
+    z = r - len(la)
+    return [*range(1, z + 1), *map(add, reversed(la), range(z + 1, r + 1))]
+
+
+def _rows(betas, p: int) -> list[list[int]]:
+    """Rows of the ascending positions ``betas`` per runner: ``rows[j-1]`` for runner j."""
+    rows = [[] for _ in range(p)]
+    for m in betas:
+        m -= 1
+        rows[m % p].append(m // p + 1)
+    return rows
+
+
+def _weight(rows) -> int:
+    """The p-weight: each runner's rows, less the rows 1..c its pushed-up beads fill."""
+    return sum(sum(beads) - len(beads) * (len(beads) + 1) // 2 for beads in rows)
 
 
 def _decode_betas(betas, r: int) -> Partition:
@@ -89,24 +109,19 @@ class AbacusDisplay:
 
     def __post_init__(self):
         _require_modulus(self.p)
+        _require_bead_count(self.r, len(self.occupied))
         if len(self.occupied) != self.r:
             raise ValueError(f"expected {self.r} beads, got {len(self.occupied)}")
         ordered = sorted(self.occupied)
         if ordered and ordered[0] < 1:
             raise ValueError("positions are 1-based")
-        rows = [[] for _ in range(self.p)]
-        for m in ordered:
-            rows[(m - 1) % self.p].append((m - 1) // self.p + 1)
-        object.__setattr__(self, "rows", tuple([tuple(beads) for beads in rows]))
+        object.__setattr__(self, "rows", tuple([tuple(beads) for beads in _rows(ordered, self.p)]))
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
         la = partition(la)
-        if r < len(la):
-            raise ValueError(f"need at least {len(la)} beads for {la}, got {r}")
-        # Beads 1..r-k carry the zero parts (k = len(la)); part i, 0-based, sits at la_i + r - i.
-        betas = [*range(1, r - len(la) + 1), *(part + r - i for i, part in enumerate(la))]
-        return cls(p, r, frozenset(betas))
+        _require_bead_count(r, len(la))
+        return cls(p, r, frozenset(_betas(la, r)))
 
     @staticmethod
     def partition_from_runners(p: int, counts, components) -> Partition:
@@ -141,8 +156,7 @@ class AbacusDisplay:
                       for rows in self.rows])
 
     def weight(self) -> int:
-        """The p-weight: each runner's rows, less the rows 1..c its pushed-up beads fill."""
-        return sum(sum(rows) - len(rows) * (len(rows) + 1) // 2 for rows in self.rows)
+        return _weight(self.rows)
 
     def core(self) -> Partition:
         """The p-core: every runner's beads pushed up into its top rows."""
@@ -278,20 +292,8 @@ def p_weight(la: Partition, p: int) -> int:
 
 
 def _p_weight(la: Partition, p: int) -> int:
-    """:func:`p_weight` for a partition and an ``int`` p >= 2, unchecked.
-
-    :meth:`AbacusDisplay.weight` read off the part beads alone: with r = ``default_bead_count``,
-    the z = r - len(la) zero-part beads sit in row 1 of runners 1..z, as in ``_is_jm_fayers``.
-    """
-    r = default_bead_count(la, p)
-    z = r - len(la)
-    counts = [1] * z + [0] * (p - z)
-    rows = z
-    for i, part in enumerate(la):
-        row, j = divmod(part + r - i - 1, p)
-        counts[j] += 1
-        rows += row + 1
-    return rows - sum(c * (c + 1) // 2 for c in counts)
+    """:func:`p_weight` for a partition and an ``int`` p >= 2, unchecked: no display is built."""
+    return _weight(_rows(_betas(la, default_bead_count(la, p)), p))
 
 
 def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
@@ -305,34 +307,25 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
             for m in reversed(display.rim_hook_beads())]
 
 
-def rim_hook_leg_sum(la: Partition, p: int, rng: random.Random | None = None) -> int:
-    """Total leg length over a complete rim p-hook removal.
+def rim_hook_leg_sum(la: Partition, p: int) -> int:
+    """Total leg length over a complete rim p-hook removal, highest hand first.
 
-    The canonical sequence (rng=None) always removes the hook whose hand is
-    highest; passing an rng picks uniformly instead, which is useful for
-    checking order-independence.  The walk moves the default display's beads,
-    kept ascending, in place: the highest movable bead is the first found from
-    the top, and a leg, the beads strictly between m - p and m, is a difference
-    of two bisections.
+    The walk moves the default display's beads, kept ascending, in place: the
+    highest movable bead is the first found from the top, and a leg, the beads
+    strictly between m - p and m, is a difference of two bisections.  Any other
+    removal order (:func:`rim_hook_removals` lists them) gives the same parity.
     """
     la = partition(la)
     r = default_bead_count(la, p)
-    z = r - len(la)
-    betas = [*range(1, z + 1), *map(add, reversed(la), range(z + 1, r + 1))]
+    betas = _betas(la, r)
     occupied = set(betas)
     total = 0
     while True:
-        if rng is None:
-            k = r - 1
-            while k >= 0 and betas[k] > p and betas[k] - p in occupied:
-                k -= 1
-            if k < 0 or betas[k] <= p:
-                return total
-        else:
-            movable = [k for k, m in enumerate(betas) if m > p and m - p not in occupied]
-            if not movable:
-                return total
-            k = rng.choice(movable)
+        k = r - 1
+        while k >= 0 and betas[k] > p and betas[k] - p in occupied:
+            k -= 1
+        if k < 0 or betas[k] <= p:
+            return total
         m = betas[k]
         total += k - bisect_right(betas, m - p)
         del betas[k]
@@ -390,8 +383,7 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
 def _is_jm_fayers(la: Partition, p: int) -> bool:
     """:func:`is_jm_fayers` for a partition and an odd prime, unchecked.
 
-    The z = r - len(la) zero-part beads of the r-bead display (``default_bead_count``)
-    sit in row 1 of runners 1..z, and the part beads are placed in one pass.  A runner's
+    The runner rows of the default display are read without building it.  A runner's
     component vanishes iff its last bead sits in the row of its bead count, so the weight
     is 0 iff no runner is moved, and the interior components vanish iff only the runners
     with the least and the greatest first empty position q are.  Then each pair
@@ -399,12 +391,7 @@ def _is_jm_fayers(la: Partition, p: int) -> bool:
     decrease in ell and B(k, p) does not increase in k, so of the remaining bounds only
     B(1, 2), B(p-1, p) and B(1, p) can bind.
     """
-    r = default_bead_count(la, p)
-    z = r - len(la)
-    rows = [[1] if j < z else [] for j in range(p)]
-    for i in range(len(la) - 1, -1, -1):
-        row, j = divmod(la[i] + r - i - 1, p)
-        rows[j].append(row + 1)
+    rows = _rows(_betas(la, default_bead_count(la, p)), p)
     moved = [j for j, beads in enumerate(rows) if beads and beads[-1] != len(beads)]
     if not moved:
         return True

@@ -11,16 +11,15 @@ display: the p-core is empty exactly when every runner carries three beads.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, _place, _pushed, default_bead_count, p_core
 from .mullineux import _regular
 from .partitions import (
     Partition,
     _require_modulus,
+    _require_runner,
     _with,
     addable_nodes,
     conjugate,
@@ -108,23 +107,20 @@ def parse_notation(text: str, weight: int) -> BeadNotation:
 
 def counts_3p(p: int, i: int) -> tuple[int, ...]:
     """Bead counts of B_i on the 3p-bead display: <3^(i-2), 4, 2, 3^(p-i)>, or <2, 3^(p-2), 4> for B_1."""
-    if not 1 <= i <= p:
-        raise ValueError(f"need 1 <= i <= p, got {i}")
+    _require_runner(i, p)
     return (3,) * (i - 2) + (4, 2) + (3,) * (p - i) if i > 1 else (2,) + (3,) * (p - 2) + (4,)
 
 
 def counts_223(p: int, s: int) -> tuple[int, ...]:
     """Bead counts <2, 3^(p-s), 2^(s-2), 3> of the (3p-s+1)-bead display for B_s."""
-    if not 2 <= s <= p:
-        raise ValueError(f"need 2 <= s <= p, got {s}")
+    _require_runner(s, p, 2)
     return (2,) + (3,) * (p - s) + (2,) * (s - 2) + (3,)
 
 
 def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     """The partition named by a placement on the display with the given bead counts."""
     _require_modulus(p)
-    if any(r > p for r in nota.runners):
-        raise ValueError(f"runner out of range in {nota} for p={p}")
+    _require_runner(max(nota.runners), p)  # BeadNotation keeps runners 1-based ints
     comps = nota.components()
     return AbacusDisplay.partition_from_runners(p, counts, [comps.get(j, ()) for j in range(1, p + 1)])
 
@@ -168,8 +164,7 @@ def principal_block(p: int) -> BlockLabel:
 
 def defect2_block(p: int, i: int) -> BlockLabel:
     require_block_prime(p)
-    if not 2 <= i <= p:
-        raise ValueError(f"need 2 <= i <= p, got {i}")
+    _require_runner(i, p, 2)
     return BlockLabel(p, partition((i - 1,) + (1,) * (p - i)), 2)
 
 
@@ -180,6 +175,8 @@ def defect1_block(p: int) -> BlockLabel:
 
 def restriction_block(p: int, i: int) -> BlockLabel:
     """B_i for 1 <= i <= p."""
+    require_block_prime(p)
+    _require_runner(i, p)
     return defect1_block(p) if i == 1 else defect2_block(p, i)
 
 
@@ -234,8 +231,7 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
 def _display_3p(la: Partition, p: int, i: int = 1) -> AbacusDisplay:
     """The <3^p> display of a principal-block partition, runner i in range; raises for any other input."""
     require_block_prime(p)
-    if type(i) is not int or not 1 <= i <= p:
-        raise ValueError(f"runner {i} out of range for p={p}")
+    _require_runner(i, p)
     if sum(la) == 3 * p:
         display = AbacusDisplay.from_partition(la, p, 3 * p)
         if display.counts() == (3,) * p:
@@ -334,8 +330,8 @@ def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:
     """The unique smaller partner with the same restriction to B_i (i >= 2)."""
     la = partition(la)
-    if not 2 <= i <= p:
-        raise ValueError(f"sigma is defined for 2 <= i <= p, got {i}")
+    require_block_prime(p)
+    _require_runner(i, p, 2)
     pair = partners(theta(la, p, i), p, i)
     if la not in pair:
         raise RuntimeError(f"{la} missing from its own partner pair {pair}")
@@ -363,19 +359,13 @@ def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:
 # Loewy-length classifier
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1, typed=True)  # one prime at a time; typed, so 5.0 cannot read 5's
-def loewy2_families(p: int) -> MappingProxyType[str, frozenset[BeadNotation]]:
-    """The four families whose members have Loewy length 2, read-only."""
-    require_block_prime(p)
-    return MappingProxyType({
-        "single-bead": frozenset(BeadNotation(3, (i,)) for i in range(1, p)),
-        "triple-repeat": frozenset(BeadNotation(3, (i, i, i)) for i in range(2, p + 1)),
-        "double-repeat": frozenset(BeadNotation(3, (i, i)) for i in range(1, p + 1)),
-        "exceptional": frozenset({
-            BeadNotation(3, (p, p - 1)), BeadNotation(3, (p - 1, p)),
-            BeadNotation(3, (2, 2, 1)), BeadNotation(3, (2, 1, 1)),
-        }),
-    })
+def _loewy2_family(runners: tuple[int, ...], p: int) -> str | None:
+    """Length-2 family of a placement not of length 1: a runner repeated 1-3 times, or 4 others."""
+    if len(set(runners)) == 1:
+        return ("single-bead", "double-repeat", "triple-repeat")[len(runners) - 1]
+    if runners in ((p, p - 1), (p - 1, p), (2, 2, 1), (2, 1, 1)):
+        return "exceptional"
+    return None
 
 
 def loewy_length_detail(la: Partition, p: int) -> tuple[int, str]:
@@ -384,9 +374,9 @@ def loewy_length_detail(la: Partition, p: int) -> tuple[int, str]:
     nota = to_3p(la, p)
     if nota.runners in ((p,), (1, 1, 1)):
         return 1, "irreducible: row or column partition of the block"
-    for family, members in loewy2_families(p).items():
-        if nota in members:
-            return 2, f"length-2 family '{family}'"
+    family = _loewy2_family(nota.runners, p)
+    if family:
+        return 2, f"length-2 family '{family}'"
     if is_p_regular(la, p) and is_p_restricted(la, p):
         return 4, "regular and restricted"
     return 3, "remaining case: regular xor restricted, not length <= 2"

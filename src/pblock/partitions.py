@@ -6,7 +6,9 @@ empty tuple is the empty partition of 0.  Nodes of the Young diagram are
 
 Public entry points check their arguments before use: :func:`partition` checks a
 partition, ``_require_modulus`` any p, ``_require_odd_prime`` the irreducibility tests' p,
-``mullineux._require_prime`` the Mullineux map's and ``blocks.require_block_prime`` a block's.
+``mullineux._require_prime`` the Mullineux map's and ``blocks.require_block_prime`` a block's;
+``_require_runner`` a block index or runner i and ``_require_bead_count`` a bead count r; each
+takes an ``int``, not a bool, in range.
 
 The kernels that a sweep calls once per partition build each tuple from a list,
 a slice or a concatenation, whose length is known, never with ``tuple()`` over a
@@ -40,6 +42,16 @@ def is_prime(p: int) -> bool:
 def _require_modulus(p) -> None:
     if type(p) is not int or p < 2:
         raise ValueError(f"p must be an integer at least 2, got {p}")
+
+
+def _require_runner(i, p: int, least: int = 1) -> None:
+    if type(i) is not int or not least <= i <= p:
+        raise ValueError(f"runner {i} out of range for p={p}: need {least} <= i <= p")
+
+
+def _require_bead_count(r, least: int) -> None:
+    if type(r) is not int or r < least:
+        raise ValueError(f"bead count must be an integer at least {least}, got {r}")
 
 
 def _require_odd_prime(p) -> None:

@@ -24,8 +24,8 @@ from .blocks import (
     enumerate_block,
     from_3p,
     irreducible_set_X,
-    loewy2_families,
     loewy_length,
+    loewy_length_detail,
     partners,
     principal_block,
     require_block_prime,
@@ -99,6 +99,16 @@ def _principal_table(p: int) -> _PrincipalTable:
     return _PrincipalTable(members, regular,
                            tuple(la for la in regular if is_p_restricted(la, p)),
                            MappingProxyType({la: _mullineux(la, p) for la in regular}))
+
+
+def _loewy2_families(p: int) -> dict[str, frozenset[BeadNotation]]:
+    """The paper's four families of <3^p> placements whose Specht modules have Loewy length 2."""
+    return {
+        "single-bead": frozenset(_N3(i) for i in range(1, p)),
+        "triple-repeat": frozenset(_N3(i, i, i) for i in range(2, p + 1)),
+        "double-repeat": frozenset(_N3(i, i) for i in range(1, p + 1)),
+        "exceptional": frozenset({_N3(p, p - 1), _N3(p - 1, p), _N3(2, 2, 1), _N3(2, 1, 1)}),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +348,11 @@ def check_partner_counts(p: int) -> str:
 
 
 def check_loewy_partition(p: int) -> str:
-    families = loewy2_families(p)
-    family_list = list(families.values())
-    for a in range(len(family_list)):
-        for b in range(a + 1, len(family_list)):
-            overlap = family_list[a] & family_list[b]
-            if overlap:
-                _fail(str(sorted(overlap)[0]), "length-2 families overlap")
-    length2 = {from_3p(nota, p) for members in families.values() for nota in members}
+    # The classifier's family rule against the families as the paper lists them.
+    length2 = {from_3p(nota, p): family
+               for family, members in _loewy2_families(p).items() for nota in members}
     if len(length2) != 3 * p + 2:
-        _fail(sorted(length2)[0], "length-2 family has the wrong cardinality")
+        _fail(sorted(length2)[0], "length-2 families overlap or have the wrong cardinality")
 
     table = _principal_table(p)
     block = table.members
@@ -358,8 +363,11 @@ def check_loewy_partition(p: int) -> str:
         _fail(block[0], "classes do not partition the block")
     if classes[1] != {(3 * p,), (1,) * (3 * p)}:
         _fail(sorted(classes[1])[0], "length-1 class is not the extreme pair")
-    if classes[2] != length2:
-        _fail(sorted(classes[2] ^ length2)[0], "length-2 class differs from its families")
+    if classes[2] != length2.keys():
+        _fail(sorted(classes[2] ^ length2.keys())[0], "length-2 class differs from its families")
+    for la, family in length2.items():
+        if loewy_length_detail(la, p)[1] != f"length-2 family '{family}'":
+            _fail(la, f"length-2 clause does not name the '{family}' family")
     both = set(table.both)
     if classes[4] != both:
         _fail(sorted(classes[4] ^ both)[0], "length-4 class is not the regular&restricted set")

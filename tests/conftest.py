@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 from hypothesis import strategies as st
@@ -8,6 +9,19 @@ import pblock as pb
 def all_partitions_up_to(nmax):
     for n in range(nmax + 1):
         yield from pb.partitions_of(n)
+
+
+@functools.cache
+def leg_sum_parities(la, p):
+    """Parities of the total leg length over every order of complete rim p-hook removal.
+
+    The orders are read from the public reference ``rim_hook_removals``, one
+    removal at a time; a partition's set is built from those of its removals.
+    """
+    removals = pb.rim_hook_removals(la, p)
+    if not removals:
+        return frozenset({0})
+    return frozenset((leg + q) % 2 for mu, leg in removals for q in leg_sum_parities(mu, p))
 
 
 @st.composite

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria complete.  Time budgets are asserted where stated.
 """
 
-import random
 import time
 from contextlib import contextmanager
 
@@ -13,7 +12,7 @@ from pblock.abacus import AbacusDisplay
 from pblock.blocks import BeadNotation
 from pblock.mullineux import rim_hook_leg_sum
 from pblock.verify import run_checks
-from conftest import all_partitions_up_to
+from conftest import all_partitions_up_to, leg_sum_parities
 
 
 def N3(*runners):
@@ -94,12 +93,10 @@ def test_criterion_05_involution_and_parity():
         for p in (5, 7):
             for la in all_partitions_up_to(25):
                 assert pb.parity(la, p) == pb.parity(pb.conjugate(la), p), (la, p)
-        rng = random.Random(20260810)
+        # Every removal order, read from rim_hook_removals, gives the canonical walk's parity.
         for p in (5, 7):
             for la in all_partitions_up_to(25):
-                base = rim_hook_leg_sum(la, p) % 2
-                for _ in range(20):
-                    assert rim_hook_leg_sum(la, p, rng) % 2 == base, (la, p)
+                assert leg_sum_parities(la, p) == {rim_hook_leg_sum(la, p) % 2}, (la, p)
 
 
 def test_criterion_06_placement_classifiers_and_node_counts():

@@ -11,10 +11,10 @@ from pblock.blocks import (
     counts_3p,
     counts_223,
     in_block,
-    loewy2_families,
     parse_notation,
     require_block_prime,
 )
+from pblock.verify import _loewy2_families
 from conftest import all_partitions_up_to
 
 
@@ -363,7 +363,7 @@ def test_loewy_spot_values():
 
 def test_loewy_families_disjoint_and_sized():
     for p in (5, 7, 11):
-        families = loewy2_families(p)
+        families = _loewy2_families(p)
         union = set()
         total = 0
         for members in families.values():

@@ -1,12 +1,13 @@
 """The input boundary: every public entry point checks p and its partition before it uses them."""
 
+import re
 import signal
 from contextlib import contextmanager
 
 import pytest
 
 import pblock as pb
-from pblock import abacus, hooks
+from pblock import abacus, blocks, hooks
 from pblock.mullineux import strip_p_rim
 
 
@@ -111,3 +112,54 @@ def test_a_list_or_trailing_zeros_get_the_canonical_answer(entry, la, args):
 def test_hook_lengths_reject_a_non_partition():
     with pytest.raises(ValueError, match="is not a partition"):
         pb.hook_lengths((1, 2))
+
+
+# Entry points that take a block index i, with the least i each accepts.
+BLOCK_INDEX_CASES = {
+    "defect2_block": (lambda i: pb.defect2_block(5, i), 2),
+    "restriction_block": (lambda i: pb.restriction_block(5, i), 1),
+    "theta": (lambda i: pb.theta(STAIRCASE, 5, i), 1),
+    "partners": (lambda i: pb.partners(pb.theta(STAIRCASE, 5, 3), 5, i), 1),
+    "sigma_partner": (lambda i: pb.sigma_partner(TOP, 5, i), 2),
+    "in_lambda_set": (lambda i: pb.in_lambda_set(STAIRCASE, 5, i), 1),
+    "irreducible_set_X": (lambda i: pb.irreducible_set_X(5, i), 2),
+    "counts_3p": (lambda i: blocks.counts_3p(5, i), 1),
+    "counts_223": (lambda i: blocks.counts_223(5, i), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_INDEX_CASES))
+@pytest.mark.parametrize("i", [0, 6, 2.0, True, "2"])
+def test_block_index_entry_points_share_one_rule(name, i):
+    entry, least = BLOCK_INDEX_CASES[name]
+    message = f"runner {i} out of range for p=5: need {least} <= i <= p"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(i)
+
+
+def test_decoding_checks_each_runner_by_the_same_rule():
+    # BeadNotation keeps runners 1-based ints, so only a runner above p is left to reject.
+    message = "runner 6 out of range for p=5: need 1 <= i <= p"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pb.decode_notation(pb.BeadNotation(3, (6, 2)), 5, (3,) * 5)
+
+
+def _explicit_display(la, p, r):
+    return pb.AbacusDisplay(p, r, pb.AbacusDisplay.from_partition(la, p, len(la)).occupied)
+
+
+BEAD_COUNT_ENTRY_POINTS = {
+    "p_quotient": pb.p_quotient,
+    "reordered_quotient": pb.reordered_quotient,
+    "AbacusDisplay.from_partition": pb.AbacusDisplay.from_partition,
+    "AbacusDisplay": _explicit_display,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEAD_COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("r", [1, 10.0, True])
+def test_bead_count_entry_points_share_one_rule(name, r):
+    la = (3, 1)  # needs at least len(la) = 2 beads
+    message = f"bead count must be an integer at least 2, got {r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BEAD_COUNT_ENTRY_POINTS[name](la, 5, r)

@@ -29,9 +29,11 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
-# One message per rule for p; each must be raised from exactly one place.
+# One message per rule for p, for a block index i and for a bead count r; each must be
+# raised from exactly one place.
 P_RULES = ("p must be an integer at least 2, got", "the test needs an odd prime p",
-           "p must be a prime, got", "p must be a prime at least 5, got")
+           "p must be a prime, got", "p must be a prime at least 5, got",
+           "out of range for p=", "bead count must be an integer at least")
 
 
 def test_each_rule_for_p_is_raised_from_one_place():
@@ -42,3 +44,21 @@ def test_each_rule_for_p_is_raised_from_one_place():
     for message in P_RULES:
         places = [module for module, text in raises if message in text]
         assert len(places) == 1, (message, places)
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_the_package_keeps_one_memo():
+    # The per-prime principal-block table is the only memo; everything else is recomputed.
+    memos, mentions = [], 0
+    for path in sorted(pathlib.Path(pblock.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        mentions += text.count("lru_cache")
+        memos += [(path.stem, node.name) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)]
+    assert memos == [("verify", "_principal_table")]
+    assert mentions == 1

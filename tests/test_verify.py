@@ -6,7 +6,7 @@ import os
 import pytest
 
 import pblock as pb
-from pblock import verify
+from pblock import blocks, verify
 from pblock.verify import run_checks
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference", "verify.json")
@@ -22,9 +22,9 @@ def test_check_details_match_the_reference(p):
 
 
 @pytest.mark.slow
-def test_every_check_passes_at_29_then_31():
-    # One process, as a sweep runs them: the second prime must not see the first's state.
-    for p in (29, 31):
+def test_every_check_passes_at_29_31_then_37():
+    # One process, as a sweep runs them: a later prime must not see an earlier one's state.
+    for p in (29, 31, 37):
         failed = [(c.name, c.counterexample, c.detail) for c in run_checks(p).checks
                   if not c.passed]
         assert not failed, (p, failed)
@@ -44,6 +44,32 @@ def test_partner_counts_fails_on_a_partner_outside_the_block(monkeypatch):
     assert not check.passed
     assert check.counterexample == pb.format_partition(target)
     assert check.detail == "a partner over B_2 lies outside the principal block"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_loewy_partition_fails_when_the_family_rule_is_off(monkeypatch, p):
+    # The mutant moves <1> out of the single-bead family and puts <p,1> in.
+    real = blocks._loewy2_family
+
+    def mutant(runners, q):
+        if runners == (1,):
+            return None
+        return "single-bead" if runners == (q, 1) else real(runners, q)
+
+    monkeypatch.setattr(blocks, "_loewy2_family", mutant)
+    counterexample, detail = _failure("loewy-partition", p)
+    assert detail == "length-2 class differs from its families"
+    assert counterexample in {pb.format_partition(pb.from_3p(pb.BeadNotation(3, runners), p))
+                              for runners in ((1,), (p, 1))}
+
+
+def test_loewy_partition_fails_when_a_family_is_misnamed(monkeypatch):
+    real = blocks._loewy2_family
+    monkeypatch.setattr(blocks, "_loewy2_family", lambda runners, p: (
+        "single-bead" if runners == (5, 4) else real(runners, p)))
+    assert _failure("loewy-partition") == (
+        pb.format_partition(pb.from_3p(pb.BeadNotation(3, (5, 4)), 5)),
+        "length-2 clause does not name the 'exceptional' family")
 
 
 @pytest.mark.parametrize("not_odd_prime", [2, 9, 5.0])
