@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq
 
 from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, _place, _pushed, default_bead_count, p_core
 from .mullineux import _regular
@@ -20,6 +22,7 @@ from .partitions import (
     Partition,
     _require_modulus,
     _require_runner,
+    _residue,
     _with,
     addable_nodes,
     conjugate,
@@ -32,7 +35,6 @@ from .partitions import (
     partition,
     partitions_of,
     removable_nodes,
-    residue,
 )
 
 
@@ -219,9 +221,10 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     shapes = {size: tuple(partitions_of(size)) for size in range(1, w + 1)}
     out = [_decode_betas(_place(p, counts, rest, moves), len(rest))
            for moves in _bead_moves(p, shapes, w)]
-    if len(set(out)) != len(out):
+    out.sort(reverse=True)
+    if any(map(eq, out, islice(out, 1, None))):  # sorted, so a collision sits next to its twin
         raise RuntimeError(f"component tuples collided for {label}")
-    return tuple(sorted(out, reverse=True))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +327,7 @@ def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
     res = (i - 1) % p
     # Addable nodes come top-down, so the partners come in descending lex order.
     return tuple([_with(la_tilde, node) for node in addable_nodes(la_tilde)
-                  if residue(node, p) == res])
+                  if _residue(node, p) == res])
 
 
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:

@@ -165,11 +165,12 @@ def _block_label(spec: str, p: int):
     if spec == "principal":
         return blocks.principal_block(p)
     match = re.fullmatch(r"[Bb](\d+)", spec)
-    if match:
-        i = int(match.group(1))
-        if 1 <= i <= p:
-            return blocks.restriction_block(p, i)
-    raise argparse.ArgumentTypeError(f"block spec {spec!r}: use 'principal' or 'B<i>' with 1 <= i <= p")
+    if not match:
+        raise argparse.ArgumentTypeError(f"block spec {spec!r}: use 'principal' or 'B<i>' with 1 <= i <= p")
+    try:
+        return blocks.restriction_block(p, int(match.group(1)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"block spec {spec!r}: {exc}") from None
 
 
 def _enumerate_record(la, label) -> dict:

@@ -21,12 +21,12 @@ from .abacus import rim_hook_leg_sum
 from .partitions import (
     Partition,
     _require_modulus,
+    _residue,
     _without,
     good_nodes,
     is_p_regular,
     is_prime,
     partition,
-    residue,
 )
 
 
@@ -176,12 +176,12 @@ def check_good_node_compatibility(la: Partition, p: int) -> bool:
 
 def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:
     """The good-node pairing of :func:`check_good_node_compatibility`, given ``la``'s image."""
-    image_goods = {residue(node, p): node for node in good_nodes(image, p)}
+    image_goods = {_residue(node, p): node for node in good_nodes(image, p)}
     for node in good_nodes(la, p):
         smaller = _without(la, node)
         if not is_p_regular(smaller, p):
             continue
-        mirror = image_goods.get(-residue(node, p) % p)
+        mirror = image_goods.get(-_residue(node, p) % p)
         if mirror is None:
             return False
         if _mullineux(smaller, p) != _without(image, mirror):

@@ -190,6 +190,12 @@ def is_p_restricted(la: Partition, p: int) -> bool:
 
 def residue(node: Node, p: int) -> int:
     """The p-residue (col - row) mod p of a node."""
+    _require_modulus(p)
+    return _residue(node, p)
+
+
+def _residue(node: Node, p: int) -> int:
+    """:func:`residue` for a checked p: the per-node loops call it."""
     row, col = node
     return (col - row) % p
 
@@ -251,9 +257,9 @@ def normal_nodes(la: Partition, p: int) -> list[Node]:
     above = next(addables)  # the last addable node, in row len(la) + 1, is below every removable one
     for node in removable_nodes(la):
         while above[0] < node[0]:
-            open_addables[residue(above, p)] += 1
+            open_addables[_residue(above, p)] += 1
             above = next(addables)
-        res = residue(node, p)
+        res = _residue(node, p)
         if open_addables[res]:
             open_addables[res] -= 1
         else:
@@ -265,7 +271,7 @@ def good_nodes(la: Partition, p: int) -> list[Node]:
     """The lowest normal node of each residue, listed top-down."""
     lowest: dict[int, Node] = {}
     for node in normal_nodes(la, p):
-        lowest[residue(node, p)] = node
+        lowest[_residue(node, p)] = node
     return sorted(lowest.values())
 
 

@@ -83,7 +83,9 @@ class _PrincipalTable:
 
     ``members`` is descending lex; ``regular`` and ``both`` (regular and
     restricted) keep that order; ``images`` maps each regular member to its
-    Mullineux image.
+    Mullineux image.  The table holds each partition once: an image is the
+    regular member that equals it, and only an image outside the regular
+    members is kept as computed.
     """
 
     members: tuple[Partition, ...]
@@ -92,13 +94,31 @@ class _PrincipalTable:
     images: MappingProxyType[Partition, Partition]
 
 
+def _position(ordered: tuple[Partition, ...], la: Partition) -> int:
+    """Index of ``la`` in a descending tuple of partitions, or -1: a bisection."""
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ordered[mid] > la:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo < len(ordered) and ordered[lo] == la else -1
+
+
+def _interned(ordered: tuple[Partition, ...], la: Partition) -> Partition:
+    """The member of ``ordered`` equal to ``la``, or ``la`` itself if there is none."""
+    at = _position(ordered, la)
+    return la if at < 0 else ordered[at]
+
+
 @functools.lru_cache(maxsize=1)  # one prime at a time: a sweep drops a table before building the next
 def _principal_table(p: int) -> _PrincipalTable:
     members = enumerate_block(principal_block(p))
     regular = tuple(la for la in members if is_p_regular(la, p))
     return _PrincipalTable(members, regular,
                            tuple(la for la in regular if is_p_restricted(la, p)),
-                           MappingProxyType({la: _mullineux(la, p) for la in regular}))
+                           MappingProxyType({la: _interned(regular, _mullineux(la, p)) for la in regular}))
 
 
 def _loewy2_families(p: int) -> dict[str, frozenset[BeadNotation]]:
@@ -136,8 +156,23 @@ def check_xi_sets(p: int) -> str:
 
 def check_prop31(p: int) -> str:
     block = _principal_table(p).members
-    flags = {la: classify_3p(la, p) for la in block}
-    both = {la for la in block if flags[la]["p_regular"] and flags[la]["p_restricted"]}
+    # One pass classifies each member once and keeps only the small sets that
+    # clauses (5)-(8) compare.  ``marks`` follows the block's order: 1 for a
+    # regular&restricted member, raised to 2 once (1)-(3) decode it.
+    marks = bytearray(len(block))
+    sc, neither, hooks, rnh = set(), set(), set(), set()
+    for k, la in enumerate(block):
+        flags = classify_3p(la, p)
+        regular, restricted, hook = flags["p_regular"], flags["p_restricted"], flags["hook"]
+        marks[k] = regular and restricted
+        if flags["self_conjugate"]:
+            sc.add(la)
+        if not regular and not restricted:
+            neither.add(la)
+        if hook:
+            hooks.add(la)
+        elif regular and not restricted:
+            rnh.add(la)
 
     # (1)-(3) as rows (runners, regular&restricted?, rule).  The runners are
     # kept as written: _N3 would print <i,i,j> sorted.
@@ -150,27 +185,27 @@ def check_prop31(p: int) -> str:
         (((i, j, k), (i, j, k) not in excluded, "distinct-index")
          for i in range(3, p + 1) for j in range(2, i) for k in range(1, j)),
     )
-    decoded = set()
     for runners, expected, rule in rows:
         la = from_3p(_N3(*runners), p)
-        decoded.add(la)
-        if (la in both) != expected:
+        k = _position(block, la)
+        hit = k >= 0 and marks[k] > 0
+        if hit != expected:
             _fail(la, f"<{','.join(map(str, runners))}> contradicts the {rule} rule")
+        if hit:
+            marks[k] = 2
     # (4) the three families exhaust the regular&restricted partitions.  By
-    # (1)-(3) they are the regular&restricted placements decoded there.
-    if not both <= decoded:
-        _fail(sorted(both - decoded)[0], "regular&restricted set differs from the three families")
+    # (1)-(3) they are the regular&restricted placements decoded there; the
+    # least member left unmarked is the last in the block's descending order.
+    if 1 in marks:
+        _fail(block[marks.rindex(1)], "regular&restricted set differs from the three families")
     # (5) self-conjugates: a placement is fixed by conjugation exactly when its
     # runner multiset is symmetric about (p+1)/2.
     half = (p + 1) // 2
     sc_family = {from_3p(_N3(half, half), p)}
     sc_family |= {from_3p(_N3(p + 1 - m, half, m), p) for m in range(1, (p - 1) // 2 + 1)}
-    sc = {la for la in block if flags[la]["self_conjugate"]}
     if sc != sc_family:
         _fail(sorted(sc ^ sc_family)[0], "self-conjugate set differs from the symmetric forms")
     # (6) neither regular nor restricted: exactly <i,i>, equal to (p+i, 1^(2p-i)).
-    neither = {la for la in block
-               if not flags[la]["p_regular"] and not flags[la]["p_restricted"]}
     for i in range(1, p + 1):
         la = from_3p(_N3(i, i), p)
         if la != (p + i,) + (1,) * (2 * p - i):
@@ -180,12 +215,9 @@ def check_prop31(p: int) -> str:
     # (7) hooks.
     hooks_family = {from_3p(nota, p) for i in range(1, p + 1)
                     for nota in (_N3(i), _N3(i, i), _N3(i, i, i))}
-    hooks = {la for la in block if flags[la]["hook"]}
     if hooks != hooks_family:
         _fail(sorted(hooks ^ hooks_family)[0], "hook set differs from the three bead shapes")
     # (8) regular, not restricted, not a hook.
-    rnh = {la for la in block
-           if flags[la]["p_regular"] and not flags[la]["p_restricted"] and not flags[la]["hook"]}
     rnh_family = {from_3p(_N3(i, p), p) for i in range(1, p)}
     rnh_family |= {from_3p(_N3(i, j), p) for i in range(2, p + 1) for j in range(1, i)}
     rnh_family.add(from_3p(_N3(p, p - 1, p - 2), p))
@@ -355,28 +387,39 @@ def check_loewy_partition(p: int) -> str:
         _fail(sorted(length2)[0], "length-2 families overlap or have the wrong cardinality")
 
     table = _principal_table(p)
-    block = table.members
-    classes: dict[int, set[Partition]] = {1: set(), 2: set(), 3: set(), 4: set()}
+    block, both = table.members, table.both
+    # One pass counts the classes and keeps the members of lengths 1 and 2.  The
+    # length-4 class is walked against ``both``, a subsequence of the block in
+    # the same order; ``stray`` ends on the least member where the two differ.
+    sizes = dict.fromkeys((1, 2, 3, 4), 0)
+    small: dict[int, set[Partition]] = {1: set(), 2: set()}
+    stray, k = None, 0
     for la in block:
-        classes[loewy_length(la, p)].add(la)
-    if sum(len(c) for c in classes.values()) != len(block):
-        _fail(block[0], "classes do not partition the block")
-    if classes[1] != {(3 * p,), (1,) * (3 * p)}:
-        _fail(sorted(classes[1])[0], "length-1 class is not the extreme pair")
-    if classes[2] != length2.keys():
-        _fail(sorted(classes[2] ^ length2.keys())[0], "length-2 class differs from its families")
+        length = loewy_length(la, p)
+        if length not in sizes:
+            _fail(la, "classes do not partition the block")
+        sizes[length] += 1
+        if length in small:
+            small[length].add(la)
+        listed = k < len(both) and both[k] == la
+        k += listed
+        if (length == 4) != listed:
+            stray = la
+    if small[1] != {(3 * p,), (1,) * (3 * p)}:
+        _fail(sorted(small[1])[0], "length-1 class is not the extreme pair")
+    if small[2] != length2.keys():
+        _fail(sorted(small[2] ^ length2.keys())[0], "length-2 class differs from its families")
     for la, family in length2.items():
         if loewy_length_detail(la, p)[1] != f"length-2 family '{family}'":
             _fail(la, f"length-2 clause does not name the '{family}' family")
-    both = set(table.both)
-    if classes[4] != both:
-        _fail(sorted(classes[4] ^ both)[0], "length-4 class is not the regular&restricted set")
+    if stray is not None:
+        _fail(stray, "length-4 class is not the regular&restricted set")
     spot = from_3p(_N3(p, p - 1, p - 2), p)
     if loewy_length(spot, p) != 3:
         _fail(spot, "the excluded triple placement should have length 3")
     if p == 5 and loewy_length((5, 4, 3, 2, 1), 5) != 4:
         _fail((5, 4, 3, 2, 1), "the staircase should have length 4")
-    return (f"classes of sizes {[len(classes[k]) for k in (1, 2, 3, 4)]} "
+    return (f"classes of sizes {list(sizes.values())} "
             f"partition the {len(block)} block partitions")
 
 

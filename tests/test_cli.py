@@ -179,6 +179,17 @@ def test_enumerate_bad_block(capsys):
     assert "block spec" in err
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("B0", "runner 0 out of range for p=5: need 1 <= i <= p"),  # the library's block-index rule
+    ("B6", "runner 6 out of range for p=5: need 1 <= i <= p"),
+    ("B", "use 'principal' or 'B<i>'"),
+])
+def test_enumerate_block_spec_uses_the_block_index_rule(capsys, spec, reason):
+    code, out, err = run_cli(capsys, "enumerate", spec, "--p", "5")
+    assert (code, out) == (2, "")
+    assert f"block spec {spec!r}: {reason}" in err
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

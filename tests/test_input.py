@@ -43,11 +43,12 @@ MODULUS_ENTRY_POINTS = {
     "is_p_regular": pb.is_p_regular,
     "is_p_restricted": pb.is_p_restricted,
     "strip_p_rim": strip_p_rim,
+    "residue": pb.residue,  # (3, 1) read as a node
 }
 
 
 @pytest.mark.parametrize("name", sorted(MODULUS_ENTRY_POINTS))
-@pytest.mark.parametrize("p", [0, 1, -3, 5.0, True])
+@pytest.mark.parametrize("p", [0, 1, -3, 5.0, True, "5"])
 def test_entry_points_reject_a_modulus_below_2_or_not_an_int(name, p):
     with deadline(5), pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
         MODULUS_ENTRY_POINTS[name]((3, 1), p)

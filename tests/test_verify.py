@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,76 @@ def test_every_check_passes_at_29_31_then_37():
         failed = [(c.name, c.counterexample, c.detail) for c in run_checks(p).checks
                   if not c.passed]
         assert not failed, (p, failed)
+
+
+@pytest.fixture
+def fresh_table():
+    """Build the principal-block table under the test's patches, and drop it afterwards."""
+    verify._principal_table.cache_clear()
+    yield
+    verify._principal_table.cache_clear()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_the_table_holds_each_partition_once(p):
+    # A Mullineux image is the regular member that equals it, not a second tuple.
+    table = verify._principal_table(p)
+    members = {id(la) for la in table.members}
+    assert all(id(image) in members for image in table.images.values())
+
+
+def test_mullineux_conformance_fails_on_an_image_outside_the_block(monkeypatch, fresh_table):
+    # The target lies above its true image, so the check meets it first.
+    target = verify._principal_table(5).regular[2]
+    verify._principal_table.cache_clear()
+    real = verify._mullineux
+    monkeypatch.setattr(verify, "_mullineux", lambda la, p: (16,) if la == target else real(la, p))
+    assert _failure("mullineux-conformance") == (pb.format_partition(target),
+                                                 "not an involution on the block")
+    assert verify._principal_table(5).images[target] == (16,)
+
+
+@pytest.mark.parametrize("name", ["prop31", "loewy-partition"])
+def test_block_walking_checks_keep_no_per_member_side_table(name):
+    # With the table warm at p = 23, a flag dict per member (prop31) peaks at 1.6 MB and
+    # a set per Loewy class at 345 KB; streaming over the table stays near 100 KB.
+    verify._principal_table(23)
+    tracemalloc.start()
+    try:
+        verify.CHECKS[name](23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_a_member_joining_the_regular_restricted_set_fails_both_sweeps(monkeypatch, fresh_table, p):
+    # Two regular hooks read as restricted: no clause (1)-(3) decodes either one, and
+    # both keep their length-2 family, so each sweep names the lesser hook.
+    joined = {pb.from_3p(pb.BeadNotation(3, (i,)), p) for i in (2, 3)}
+    assert all(pb.is_p_regular(la, p) and not pb.is_p_restricted(la, p) for la in joined)
+    real = verify.is_p_restricted
+
+    def patched(la, q):
+        return la in joined or real(la, q)
+
+    monkeypatch.setattr(verify, "is_p_restricted", patched)
+    monkeypatch.setattr(blocks, "is_p_restricted", patched)
+    least = pb.format_partition(min(joined))
+    assert _failure("prop31", p) == (least, "regular&restricted set differs from the three families")
+    assert _failure("loewy-partition", p) == (least, "length-4 class is not the regular&restricted set")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_loewy_partition_fails_when_a_member_leaves_the_regular_restricted_set(
+        monkeypatch, fresh_table, p):
+    target = verify._principal_table(p).both[3]
+    verify._principal_table.cache_clear()
+    real = verify.is_p_restricted
+    monkeypatch.setattr(verify, "is_p_restricted", lambda la, q: la != target and real(la, q))
+    assert _failure("loewy-partition", p) == (pb.format_partition(target),
+                                              "length-4 class is not the regular&restricted set")
 
 
 def test_partner_counts_fails_on_a_partner_outside_the_block(monkeypatch):
