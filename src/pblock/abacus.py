@@ -5,20 +5,19 @@ Positions are 1-based, numbered row-major: position m sits on runner
 the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
-Only this module places beads, one helper per rule: ``_betas`` places a partition's
-beads, ``_rows`` sorts positions into runner rows and ``_weight`` reads the p-weight
-off them.  A display sorts its beads once, when built, and reads its counts, quotient,
-pyramid and normal beads off its rows; ``_is_jm_fayers`` and ``_p_weight`` read rows
-without a display.  ``_pushed`` turns runner counts into the pushed-up display (the
-core's) and ``_place`` moves its beads down by quotient components.  Code outside this
-module asks these instead of computing positions.
+Only this module places beads or shifts bits.  A display places them once (``_betas``,
+``_rows``); the per-partition kernels read a private bead mask (``_mask``), whose bit x
+is set iff position x + 1 holds a bead.  Runner counts are popcounts, a bead with a hole
+right above marks a moved runner, and ``_decode`` reads the parts by runs: a bead's part
+is the number of holes below it, so each run of beads, climbing from the lowest hole, is
+one part.  ``_pushed_up`` is the core's mask and ``_moved`` moves beads down by a quotient.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from operator import add, sub
+from itertools import repeat
+from operator import add, lshift
 
 from .partitions import (
     Node,
@@ -53,46 +52,103 @@ def _rows(betas, p: int) -> list[list[int]]:
     return rows
 
 
-def _weight(rows) -> int:
-    """The p-weight: each runner's rows, less the rows 1..c its pushed-up beads fill."""
-    return sum(sum(beads) - len(beads) * (len(beads) + 1) // 2 for beads in rows)
+def _mask(la: Partition, r: int) -> int:
+    """The bead mask of ``la``'s r-bead display, by ``_betas``'s rule one block per run of equal parts."""
+    k = len(la)
+    mask, end = (1 << r - k) - 1, 0
+    while end < k:
+        start, part = end, la[end]
+        end += 1
+        while end < k and la[end] == part:
+            end += 1
+        mask |= (1 << end - start) - 1 << part + r - end
+    return mask
 
 
-def _decode_betas(betas, r: int) -> Partition:
-    """Parts of the r-bead display ``betas``; a partition by construction."""
-    # Ascending, the k-th bead carries part b_k - k, so the zero parts come first.
-    parts = list(map(sub, sorted(betas), range(1, r + 1)))
-    return tuple(parts[bisect_right(parts, 0):][::-1])
+def _comb(mask: int, p: int) -> int:
+    """Bits 0, p, 2p, ... through the mask's top row: runner 1 of every row."""
+    return ((1 << -(-mask.bit_length() // p) * p) - 1) // ((1 << p) - 1)
 
 
-def _pushed(p: int, counts) -> frozenset[int]:
-    """Positions of the pushed-up display with ``counts[j-1]`` beads on runner j."""
-    return frozenset((t - 1) * p + j for j, c in enumerate(counts, start=1) for t in range(1, c + 1))
+def _mask_weight(mask: int, p: int) -> int:
+    """The p-weight: over each bead, the holes above it on its runner, k = 1, 2, ... rows up."""
+    weight, below = 0, mask >> p
+    while below:
+        weight += (below & ~mask).bit_count()
+        below >>= p
+    return weight
 
 
-def _place(p: int, counts, rest: frozenset[int], moves) -> set[int]:
-    """The pushed-up display ``rest`` of ``counts`` with beads moved down by a sparse quotient.
+def _counts(mask: int, p: int) -> tuple[int, ...]:
+    """Beads per runner, left to right."""
+    comb = _comb(mask, p)
+    return tuple([(mask & comb << j).bit_count() for j in range(p)])
 
-    For each (j, kappa) in ``moves``, the t-th lowest bead of runner j moves kappa_t rows down.
-    """
-    betas = set(rest)
+
+def _decode(mask: int) -> Partition:
+    """Parts of the display ``mask``, read by runs of holes and beads from the lowest hole."""
+    mask >>= (~mask & mask + 1).bit_length() - 1  # the beads of the zero parts
+    parts, holes = [], 0
+    while mask:
+        holes += (run := (mask & -mask).bit_length() - 1)
+        mask >>= run
+        parts += [holes] * (run := (~mask & mask + 1).bit_length() - 1)
+        mask >>= run
+    parts.reverse()
+    return tuple(parts)
+
+
+def _components(mask: int, p: int) -> dict[int, Partition]:
+    """Nonempty components by moved runner (a bead with a hole right above), bottom bead first:
+    a bead weighs the holes above it on its runner, its row less its rank there."""
+    hanging, comb, comps = mask >> p & ~mask, _comb(mask, p), {}
+    while hanging:
+        j = ((hanging & -hanging).bit_length() - 1) % p
+        hanging &= ~(comb << j)
+        beads, weights, rank = mask >> j & comb, [], 0
+        while beads:
+            row = ((bead := beads & -beads).bit_length() - 1) // p
+            if row != rank:
+                weights.append(row - rank)
+            rank += 1
+            beads ^= bead
+        comps[j + 1] = tuple(weights[::-1])
+    return comps
+
+
+def _pushed_up(p: int, counts) -> int:
+    """The pushed-up display with ``counts[j-1]`` beads on runner j: the core's."""
+    return sum([((1 << c * p) - 1) // ((1 << p) - 1) << j for j, c in enumerate(counts)])
+
+
+def _moved(p: int, counts, rest: int, moves) -> int:
+    """The pushed-up display ``rest`` of ``counts``, the t-th lowest bead of runner j moved
+    kappa_t rows down for each (j, kappa) in ``moves``: an XOR lifts the beads, an OR lands them."""
+    mask = rest
     for j, kappa in moves:
         c = counts[j - 1]
         if len(kappa) > c:
             raise ValueError(f"component {kappa} needs more than {c} beads on runner {j}")
-        betas.difference_update([(c - t) * p + j for t in range(1, len(kappa) + 1)])
-        betas.update([(c - t + part) * p + j for t, part in enumerate(kappa, start=1)])
-    if len(betas) != len(rest):
-        raise ValueError(f"expected {len(rest)} beads, got {len(betas)}")
-    return betas
+        lift = land = 0
+        for t, part in enumerate(kappa):
+            at = (c - 1 - t) * p + j - 1
+            lift |= 1 << at
+            land |= 1 << at + part * p
+        mask = mask ^ lift | land
+    if mask.bit_count() != rest.bit_count():
+        raise ValueError(f"expected {rest.bit_count()} beads, got {mask.bit_count()}")
+    return mask
 
 
-def _component(rows: tuple[int, ...]) -> Partition:
-    """Bead weights of one runner's ascending rows, bottom bead first."""
-    weights = [t - s for s, t in enumerate(rows, start=1)]  # ascending, zeros first
-    del weights[:bisect_right(weights, 0)]
-    weights.reverse()
-    return tuple(weights)
+def _pushed_left(mask: int, p: int, i: int) -> int:
+    """The mask with the one removable bead on runner i (at m > 1, m - 1 empty) moved to m - 1."""
+    beads = mask & ~(mask << 1) & _comb(mask, p) << i - 1 & ~1
+    if not beads:
+        raise ValueError(f"{_decode(mask)} has no removable bead on runner {i}")
+    if beads & beads - 1:
+        at = [m for m in range(1, beads.bit_length() + 1) if beads >> m - 1 & 1]
+        raise RuntimeError(f"{_decode(mask)} has several removable beads on runner {i}: {at}")
+    return mask ^ beads | beads >> 1
 
 
 @dataclass(frozen=True)
@@ -130,10 +186,14 @@ class AbacusDisplay:
         if len(components) != len(counts):
             raise ValueError(f"{len(counts)} runner counts but {len(components)} components")
         moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
-        return _decode_betas(_place(p, counts, _pushed(p, counts), moves), sum(counts))
+        return _decode(_moved(p, counts, _pushed_up(p, counts), moves))
+
+    def _bead_mask(self) -> int:
+        """The display as a bead mask: bit m - 1 for each occupied position m."""
+        return sum(map(lshift, repeat(1), map(add, self.occupied, repeat(-1))))
 
     def to_partition(self) -> Partition:
-        return _decode_betas(self.occupied, self.r)
+        return _decode(self._bead_mask())
 
     def runner(self, pos: int) -> int:
         return (pos - 1) % self.p + 1
@@ -148,19 +208,16 @@ class AbacusDisplay:
         return tuple([len(rows) for rows in self.rows])
 
     def components(self) -> tuple[Partition, ...]:
-        """Bead weights per runner, bottom bead first: the left-to-right quotient.
-
-        A runner whose last bead sits in the row of its bead count is not moved.
-        """
-        return tuple([_component(rows) if rows and rows[-1] != len(rows) else ()
-                      for rows in self.rows])
+        """Bead weights per runner, bottom bead first: the left-to-right quotient."""
+        comps = _components(self._bead_mask(), self.p)
+        return tuple([comps.get(j, ()) for j in range(1, self.p + 1)])
 
     def weight(self) -> int:
-        return _weight(self.rows)
+        return _mask_weight(self._bead_mask(), self.p)
 
     def core(self) -> Partition:
         """The p-core: every runner's beads pushed up into its top rows."""
-        return _decode_betas(_pushed(self.p, self.counts()), self.r)
+        return _decode(_pushed_up(self.p, self.counts()))
 
     # -- bead moves (each returns a new display) -----------------------------
 
@@ -293,7 +350,7 @@ def p_weight(la: Partition, p: int) -> int:
 
 def _p_weight(la: Partition, p: int) -> int:
     """:func:`p_weight` for a partition and an ``int`` p >= 2, unchecked: no display is built."""
-    return _weight(_rows(_betas(la, default_bead_count(la, p)), p))
+    return _mask_weight(_mask(la, default_bead_count(la, p)), p)
 
 
 def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
@@ -310,28 +367,17 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
 def rim_hook_leg_sum(la: Partition, p: int) -> int:
     """Total leg length over a complete rim p-hook removal, highest hand first.
 
-    The walk moves the default display's beads, kept ascending, in place: the
-    highest movable bead is the first found from the top, and a leg, the beads
-    strictly between m - p and m, is a difference of two bisections.  Any other
-    removal order (:func:`rim_hook_removals` lists them) gives the same parity.
+    The walk moves the default display's beads in its mask: each hand is a bead below
+    row 1 with a hole right above, and its leg the beads strictly between the two.  Any
+    other removal order (:func:`rim_hook_removals` lists them) gives the same parity.
     """
     la = partition(la)
-    r = default_bead_count(la, p)
-    betas = _betas(la, r)
-    occupied = set(betas)
-    total = 0
-    while True:
-        k = r - 1
-        while k >= 0 and betas[k] > p and betas[k] - p in occupied:
-            k -= 1
-        if k < 0 or betas[k] <= p:
-            return total
-        m = betas[k]
-        total += k - bisect_right(betas, m - p)
-        del betas[k]
-        insort(betas, m - p)
-        occupied.remove(m)
-        occupied.add(m - p)
+    mask, total = _mask(la, default_bead_count(la, p)), 0
+    while hands := (mask & ~(mask << p)) >> p << p:
+        x = hands.bit_length() - 1
+        total += (mask >> x - p + 1 & (1 << p - 1) - 1).bit_count()
+        mask ^= 1 << x | 1 << x - p
+    return total
 
 
 def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:
@@ -383,23 +429,23 @@ def is_jm_fayers(la: Partition, p: int) -> bool:
 def _is_jm_fayers(la: Partition, p: int) -> bool:
     """:func:`is_jm_fayers` for a partition and an odd prime, unchecked.
 
-    The runner rows of the default display are read without building it.  A runner's
-    component vanishes iff its last bead sits in the row of its bead count, so the weight
-    is 0 iff no runner is moved, and the interior components vanish iff only the runners
-    with the least and the greatest first empty position q are.  Then each pair
-    1 < k < ell < p bounds 0 by B(k, ell) + 1 >= 1.  As q ascends, B(1, ell) does not
-    decrease in ell and B(k, p) does not increase in k, so of the remaining bounds only
-    B(1, 2), B(p-1, p) and B(1, p) can bind.
+    On the default display's mask, a runner is moved iff one of its beads has a hole right
+    above: the weight is 0 iff no bead has, and the interior components vanish iff only the
+    runners with the least and the greatest first empty position q move.  Then each pair
+    1 < k < ell < p bounds 0 by B(k, ell) + 1 >= 1.  As q ascends, B(1, ell) does not decrease
+    in ell and B(k, p) does not increase in k, so only B(1, 2), B(p-1, p) and B(1, p) can bind.
     """
-    rows = _rows(_betas(la, default_bead_count(la, p)), p)
-    moved = [j for j, beads in enumerate(rows) if beads and beads[-1] != len(beads)]
-    if not moved:
+    mask = _mask(la, default_bead_count(la, p))
+    hanging = mask >> p & ~mask  # the holes with a bead right below them
+    if not hanging:
         return True
-    q = sorted([len(beads) * p + j for j, beads in enumerate(rows)])
+    comb = _comb(mask, p)
+    q = sorted([c * p + j for j, c in enumerate(_counts(mask, p))])
     lo, hi = q[0] % p, q[-1] % p
-    if any(j != lo and j != hi for j in moved):
+    if hanging & ~(comb << lo | comb << hi):
         return False
-    first, last = _component(rows[lo]), _component(rows[hi])
+    comps = _components(mask, p)
+    first, last = comps.get(lo + 1, ()), comps.get(hi + 1, ())
     first_row, first_col = (first[0] if first else 0), len(last)
     if (first_row > (q[1] - q[0]) // p + 1 or first_col > (q[-1] - q[-2]) // p + 1
             or first_row + first_col > (q[-1] - q[0]) // p + 1):

@@ -5,8 +5,8 @@ Partitions of 3p with empty p-core form the principal block; a partition of
 and one with core (p, 1^(p-1)) in the weight-1 block B_1.  On an abacus display
 whose pushed-up bead counts are fixed, such a partition is named by the runners
 carrying its displaced bead weights, written <i>, <i,j> or <i,j,k>.
-Principal-block membership is read off the runner counts of the 3p-bead
-display: the p-core is empty exactly when every runner carries three beads.
+Membership, placement, enumeration and restriction read a display's private bead
+mask through the abacus kernels, without building the display.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import eq
 
-from .abacus import AbacusDisplay, _decode_betas, _is_jm_fayers, _place, _pushed, default_bead_count, p_core
+from .abacus import (AbacusDisplay, _components, _counts, _decode, _is_jm_fayers, _mask, _mask_weight,
+                     _moved, _pushed_left, _pushed_up, default_bead_count, p_core)
 from .mullineux import _regular
 from .partitions import (
     Partition,
+    _require_bead_count,
     _require_modulus,
     _require_runner,
     _residue,
@@ -127,18 +129,17 @@ def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     return AbacusDisplay.partition_from_runners(p, counts, [comps.get(j, ()) for j in range(1, p + 1)])
 
 
-def _notation(display: AbacusDisplay) -> BeadNotation:
-    comps = display.components()
-    weight = sum(sum(c) for c in comps)
-    return BeadNotation.from_components(weight, {j + 1: c for j, c in enumerate(comps)})
-
-
 def encode_notation(la: Partition, p: int, counts) -> BeadNotation:
     """Name a partition on the display with the given bead counts."""
-    display = AbacusDisplay.from_partition(la, p, sum(counts))
-    if display.counts() != tuple(counts):
-        raise ValueError(f"{la} has bead counts {display.counts()}, expected {tuple(counts)}")
-    return _notation(display)
+    r, parts = sum(counts), partition(la)
+    _require_bead_count(r, len(parts))
+    _require_modulus(p)
+    mask = _mask(parts, r)
+    if _counts(mask, p) != tuple(counts):
+        raise ValueError(f"{la} has bead counts {_counts(mask, p)}, expected {tuple(counts)}")
+    comps = _components(mask, p)
+    weight = sum(map(sum, comps.values()))
+    return BeadNotation.from_components(weight, {j: comps.get(j, ()) for j in range(1, p + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def _bead_moves(p: int, shapes, w: int, first: int = 1):
     """Each p-quotient of total size w on runners >= ``first``, sparse: ((j, kappa), ...).
 
     Runners ascend and each component kappa is nonempty; ``shapes[size]``
-    lists the partitions of ``size``.  Positions are left to ``abacus._place``.
+    lists the partitions of ``size``.  Positions are left to ``abacus._moved``.
     """
     if w == 0:
         yield ()
@@ -205,22 +206,23 @@ def _bead_moves(p: int, shapes, w: int, first: int = 1):
 def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     """All partitions with the label's core and weight, descending lex.
 
-    Each member is the core's pushed-up display (``_pushed``, built once) with
-    at most ``weight`` beads moved down their runners (``_place``), one way per
+    Each member is the core's pushed-up mask (``_pushed_up``, built once) with
+    at most ``weight`` beads moved down their runners (``_moved``), one way per
     p-quotient of the weight (``_bead_moves``).  The bead count first grows (p
     beads at a time, one more per runner) until every runner holds ``weight``
     beads, so every component fits.
     """
     p, w = label.p, label.weight
-    display = AbacusDisplay.from_partition(label.core, p, default_bead_count(label.core, p))
-    if any(display.components()):
+    r = default_bead_count(label.core, p)
+    core = _mask(partition(label.core), r)
+    counts = _counts(core, p)
+    if _components(core, p):
         raise ValueError(f"{label.core} is not a {p}-core")
-    extra = max(0, w - min(display.counts()))
-    counts = tuple(c + extra for c in display.counts())
-    rest = _pushed(p, counts)
+    extra = max(0, w - min(counts))
+    counts = tuple([c + extra for c in counts])
+    rest = _pushed_up(p, counts)
     shapes = {size: tuple(partitions_of(size)) for size in range(1, w + 1)}
-    out = [_decode_betas(_place(p, counts, rest, moves), len(rest))
-           for moves in _bead_moves(p, shapes, w)]
+    out = [_decode(_moved(p, counts, rest, moves)) for moves in _bead_moves(p, shapes, w)]
     out.sort(reverse=True)
     if any(map(eq, out, islice(out, 1, None))):  # sorted, so a collision sits next to its twin
         raise RuntimeError(f"component tuples collided for {label}")
@@ -231,19 +233,19 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
 # The principal block: <3^p> notation and classifiers
 # ---------------------------------------------------------------------------
 
-def _display_3p(la: Partition, p: int, i: int = 1) -> AbacusDisplay:
-    """The <3^p> display of a principal-block partition, runner i in range; raises for any other input."""
+def _member_3p(la: Partition, p: int, i: int = 1) -> tuple[Partition, int]:
+    """A principal-block partition and its <3^p> mask (weight 3: empty core), runner i in range."""
     require_block_prime(p)
     _require_runner(i, p)
     if sum(la) == 3 * p:
-        display = AbacusDisplay.from_partition(la, p, 3 * p)
-        if display.counts() == (3,) * p:
-            return display
+        mask = _mask(parts := partition(la), 3 * p)
+        if _mask_weight(mask, p) == 3:
+            return parts, mask
     raise ValueError(f"{la} is not in the principal block for p={p}")
 
 
 def to_3p(la: Partition, p: int) -> BeadNotation:
-    return _notation(_display_3p(la, p))
+    return BeadNotation.from_components(3, _components(_member_3p(la, p)[1], p))
 
 
 def from_3p(nota: BeadNotation, p: int) -> Partition:
@@ -255,7 +257,7 @@ def from_3p(nota: BeadNotation, p: int) -> Partition:
 
 def classify_3p(la: Partition, p: int) -> dict[str, bool]:
     """Regular/restricted/self-conjugate/hook flags of a principal-block partition."""
-    la = _display_3p(la, p).to_partition()
+    la = _member_3p(la, p)[0]
     return {
         "p_regular": is_p_regular(la, p),
         "p_restricted": is_p_restricted(la, p),
@@ -280,28 +282,19 @@ def theta(la: Partition, p: int, i: int) -> Partition:
     Defined whenever the <3^p> display has a removable bead on runner i,
     regular or not; the result lies in B_i.
     """
-    return _theta(_display_3p(la, p, i), i)
+    return _theta(_member_3p(la, p, i)[0], p, i)
 
 
-def _theta(display: AbacusDisplay, i: int) -> Partition:
-    """:func:`theta` on the <3^p> display of a principal-block partition, runner i in range.
+def _theta(la: Partition, p: int, i: int) -> Partition:
+    """:func:`theta` for a principal-block partition and a runner i in range, unchecked.
 
     Moves the one removable bead m on runner i to m - 1.  The image lies in B_i iff the
     3p-bead display then has B_i's runner counts (:func:`counts_3p`), which fix the core.
     """
-    occupied = display.occupied
-    beads = [m for m in display.beads_on_runner(i) if m > 1 and m - 1 not in occupied]
-    if not beads:
-        raise ValueError(f"{display.to_partition()} has no removable bead on runner {i}")
-    if len(beads) > 1:
-        raise RuntimeError(f"{display.to_partition()} has several removable beads on runner {i}: {beads}")
-    counts = list(display.counts())
-    counts[i - 1] -= 1
-    counts[i - 2] += 1  # runner i - 1, or runner p for i = 1
-    if tuple(counts) != counts_3p(display.p, i):
-        raise RuntimeError(f"restriction of {display.to_partition()} left the expected block B_{i}")
-    m = beads[0]
-    return _decode_betas(occupied - {m} | {m - 1}, display.r)
+    moved = _pushed_left(_mask(la, 3 * p), p, i)
+    if _counts(moved, p) != counts_3p(p, i):
+        raise RuntimeError(f"restriction of {la} left the expected block B_{i}")
+    return _decode(moved)
 
 
 def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
@@ -346,8 +339,9 @@ def sigma_partner(la: Partition, p: int, i: int) -> Partition:
 
 def in_lambda_set(la: Partition, p: int, i: int) -> bool:
     """Normal-bead test on runner i of the <3^p> display (p-regular input only)."""
-    display = _display_3p(la, p, i)
+    _member_3p(la, p, i)
     _regular(la, p)
+    display = AbacusDisplay.from_partition(la, p, 3 * p)
     return not set(display.beads_on_runner(i)).isdisjoint(display.normal_beads())
 
 

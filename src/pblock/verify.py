@@ -335,7 +335,7 @@ def check_theta_table(p: int) -> str:
         regular = is_p_regular(la, p)
         display = AbacusDisplay.from_partition(la, p, 3 * p)
         for i in sorted({display.runner(m) for m in display.normal_beads()}):
-            image = _theta(display, i)
+            image = _theta(la, p, i)
             if regular != is_p_regular(image, p):
                 _fail(la, f"regularity flips under restriction to B_{i}")
             if regular:
@@ -405,8 +405,8 @@ def check_loewy_partition(p: int) -> str:
         k += listed
         if (length == 4) != listed:
             stray = la
-    if small[1] != {(3 * p,), (1,) * (3 * p)}:
-        _fail(sorted(small[1])[0], "length-1 class is not the extreme pair")
+    if small[1] != (extreme := {(3 * p,), (1,) * (3 * p)}):
+        _fail(sorted(small[1] ^ extreme)[0], "length-1 class is not the extreme pair")
     if small[2] != length2.keys():
         _fail(sorted(small[2] ^ length2.keys())[0], "length-2 class differs from its families")
     for la, family in length2.items():

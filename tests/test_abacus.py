@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, _is_jm_fayers, _p_weight, _place, _pushed
+from pblock.abacus import AbacusDisplay, _is_jm_fayers, _moved, _p_weight, _pushed_up
 from pblock.hooks import _is_jm_direct
 from conftest import all_partitions_up_to, partitions
 
@@ -107,7 +107,9 @@ def test_bead_moves_are_value_ops():
 def from_runners(p, counts, components):
     """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
     moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
-    return AbacusDisplay(p, sum(counts), frozenset(_place(p, counts, _pushed(p, counts), moves)))
+    mask = _moved(p, counts, _pushed_up(p, counts), moves)
+    occupied = frozenset(m for m in range(1, mask.bit_length() + 1) if mask >> m - 1 & 1)
+    return AbacusDisplay(p, sum(counts), occupied)
 
 
 def test_partition_from_runners_skips_the_display():

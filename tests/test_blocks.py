@@ -255,9 +255,9 @@ def test_theta_moves_the_bead_the_display_ops_move(p):
                 expected = theta_by_display(display, i)
             except ValueError:
                 with pytest.raises(ValueError, match=f"no removable bead on runner {i}"):
-                    _theta(display, i)
+                    _theta(la, p, i)
             else:
-                assert _theta(display, i) == expected, (la, i)
+                assert _theta(la, p, i) == expected, (la, i)
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -145,6 +145,46 @@ def test_decoding_checks_each_runner_by_the_same_rule():
         pb.decode_notation(pb.BeadNotation(3, (6, 2)), 5, (3,) * 5)
 
 
+# The entry points that read the bead mask, each with an input it must reject and the message.
+MASK_REJECTIONS = [
+    ("non-member to_3p", lambda: pb.to_3p((13, 2), 5), "(13, 2) is not in the principal block for p=5"),
+    ("non-member classify_3p", lambda: pb.classify_3p([13, 2, 0], 5),
+     "[13, 2, 0] is not in the principal block for p=5"),
+    ("non-member theta", lambda: pb.theta((13, 2), 5, 2), "(13, 2) is not in the principal block for p=5"),
+    ("non-member in_lambda_set", lambda: pb.in_lambda_set((13, 2), 5, 2),
+     "(13, 2) is not in the principal block for p=5"),
+    ("non-member loewy_length", lambda: pb.loewy_length((13, 2), 5),
+     "(13, 2) is not in the principal block for p=5"),
+    ("wrong bead counts", lambda: pb.encode_notation(STAIRCASE, 5, blocks.counts_3p(5, 2)),
+     "(5, 4, 3, 2, 1) has bead counts (3, 3, 3, 3, 3), expected (4, 2, 3, 3, 3)"),
+    ("too few beads to encode", lambda: pb.encode_notation((1,) * 4, 5, (1, 1, 1, 0, 0)),
+     "bead count must be an integer at least 4, got 3"),
+    ("oversized component",
+     lambda: pb.decode_notation(pb.BeadNotation(3, (2, 2, 2)), 5, blocks.counts_3p(5, 2)),
+     "component (1, 1, 1) needs more than 2 beads on runner 2"),
+    ("oversized runner component",
+     lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(1,) * 4] + [()] * 4),
+     "component (1, 1, 1, 1) needs more than 3 beads on runner 1"),
+    ("colliding beads",
+     lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(0, 1)] + [()] * 4),
+     "expected 15 beads, got 14"),
+    ("not a core", lambda: pb.enumerate_block(blocks.BlockLabel(5, (5,), 1)), "(5,) is not a 5-core"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in MASK_REJECTIONS],
+                         ids=[case[0] for case in MASK_REJECTIONS])
+def test_mask_paths_keep_every_rejection_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_enumeration_still_reports_colliding_component_tuples(monkeypatch):
+    monkeypatch.setattr(blocks, "_decode", lambda mask: (15,))
+    with pytest.raises(RuntimeError, match=re.escape("component tuples collided for block(p=5, core=-, w=3)")):
+        pb.enumerate_block(pb.principal_block(5))
+
+
 def _explicit_display(la, p, r):
     return pb.AbacusDisplay(p, r, pb.AbacusDisplay.from_partition(la, p, len(la)).occupied)
 

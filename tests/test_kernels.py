@@ -12,12 +12,23 @@ import tracemalloc
 from itertools import groupby, product
 
 import pytest
+from hypothesis import given, settings
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, _component, rim_hook_leg_sum
-from pblock.blocks import BeadNotation, _bead_weights, _partners
+from pblock.abacus import (
+    AbacusDisplay,
+    _betas,
+    _components,
+    _counts,
+    _decode,
+    _is_jm_fayers,
+    _mask,
+    _mask_weight,
+    rim_hook_leg_sum,
+)
+from pblock.blocks import BeadNotation, _bead_weights, _partners, counts_3p
 from pblock.partitions import _with, _without
-from conftest import all_partitions_up_to
+from conftest import all_partitions_up_to, partitions
 
 PRIMES = (2, 3, 5, 7)
 SMALL = tuple(all_partitions_up_to(20))
@@ -164,8 +175,6 @@ def assert_display_matches_the_old_rules(display):
     assert display.rows == rows
     assert display.counts() == tuple(map(len, rows))
     assert display.components() == tuple(map(old_component, rows))
-    for runner in rows:
-        assert _component(runner) == old_component(runner)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -203,6 +212,35 @@ def test_from_components_matches_the_old_rule():
 
 
 # ---------------------------------------------------------------------------
+# The bead mask against the display it stands for
+# ---------------------------------------------------------------------------
+
+@given(partitions(max_n=40))
+@settings(max_examples=150)
+def test_the_mask_decodes_to_its_partition_and_reads_as_the_display(la):
+    for p in (5, 7, 11):
+        for r in range(len(la), len(la) + 2 * p + 1):
+            mask = _mask(la, r)
+            assert _decode(mask) == la, (la, r)
+            assert mask == sum(1 << m - 1 for m in _betas(la, r)), (la, r)
+            display = AbacusDisplay.from_partition(la, p, r)
+            assert _counts(mask, p) == display.counts(), (la, p, r)
+            assert _mask_weight(mask, p) == display.weight(), (la, p, r)
+            assert _components(mask, p) == {j: c for j, c in enumerate(display.components(), 1) if c}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_placements_round_trip_on_every_member(p):
+    for la in pb.enumerate_block(pb.principal_block(p)):
+        assert pb.from_3p(pb.to_3p(la, p), p) == la
+        assert pb.decode_notation(pb.encode_notation(la, p, (3,) * p), p, (3,) * p) == la
+    for i in range(1, p + 1):
+        counts = counts_3p(p, i)
+        for la in pb.enumerate_block(pb.restriction_block(p, i)):
+            assert pb.decode_notation(pb.encode_notation(la, p, counts), p, counts) == la, (i, la)
+
+
+# ---------------------------------------------------------------------------
 # Memory
 # ---------------------------------------------------------------------------
 
@@ -217,6 +255,9 @@ def test_member_sweeps_retain_no_parked_tuples():
             pb.is_p_restricted(la, p)
             pb.loewy_length(la, p)
             pb.normal_nodes(la, p)
+            pb.classify_3p(la, p)
+            pb.from_3p(pb.to_3p(la, p), p)
+            _is_jm_fayers(la, p)
 
     sweep()  # warm-up: the Loewy families' cache, and free lists at their working level
     tracemalloc.start()

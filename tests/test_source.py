@@ -62,3 +62,14 @@ def test_the_package_keeps_one_memo():
                   and any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)]
     assert memos == [("verify", "_principal_table")]
     assert mentions == 1
+
+
+def test_only_the_abacus_shifts_bits():
+    # Only abacus places beads: every other module asks its kernels instead of reading a bead mask.
+    found = []
+    for path in sorted(pathlib.Path(pblock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.LShift, ast.RShift))
+                    or isinstance(node, ast.Attribute) and node.attr == "bit_count"):
+                found.append(path.stem)
+    assert found and set(found) == {"abacus"}

@@ -1,13 +1,15 @@
 """Check-level pins: the `detail` strings of `run_checks`, and the slow large-prime tier."""
 
+import inspect
 import json
 import os
+import textwrap
 import tracemalloc
 
 import pytest
 
 import pblock as pb
-from pblock import blocks, verify
+from pblock import abacus, blocks, verify
 from pblock.verify import run_checks
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference", "verify.json")
@@ -143,6 +145,31 @@ def test_loewy_partition_fails_when_a_family_is_misnamed(monkeypatch):
         "length-2 clause does not name the 'exceptional' family")
 
 
+def test_loewy_partition_names_the_least_partition_missing_from_the_length_1_class(monkeypatch):
+    # An empty length-1 class is a failed check, not an IndexError out of run_checks.
+    real = blocks.loewy_length_detail
+    extreme = {(15,), (1,) * 15}
+    monkeypatch.setattr(blocks, "loewy_length_detail", lambda la, p: (
+        (3, "patched") if la in extreme else real(la, p)))
+    assert _failure("loewy-partition") == (pb.format_partition((1,) * 15),
+                                           "length-1 class is not the extreme pair")
+
+
+def _shifted_core_test():
+    """``_is_jm_fayers`` with its weight-0 test reading the bead p - 1 positions below each hole."""
+    source = textwrap.dedent(inspect.getsource(abacus._is_jm_fayers))
+    assert source.count("mask >> p & ~mask") == 1
+    namespace = dict(vars(abacus))  # the mutant's recursion calls the mutant
+    exec(source.replace("mask >> p & ~mask", "mask >> p - 1 & ~mask"), namespace)
+    return namespace["_is_jm_fayers"]
+
+
+@pytest.mark.parametrize("p", [5, 23])
+def test_oracle_equivalence_fails_when_the_core_test_shifts_by_p_minus_1(monkeypatch, p):
+    monkeypatch.setattr(verify, "_is_jm_fayers", _shifted_core_test())
+    assert _failure("oracle-equivalence", p)[1] == "power-diagram and quotient tests disagree"
+
+
 @pytest.mark.parametrize("not_odd_prime", [2, 9, 5.0])
 def test_oracle_equivalence_rejects_a_prime_the_oracles_do_not_cover(not_odd_prime):
     with pytest.raises(ValueError, match="needs an odd prime"):
@@ -186,8 +213,8 @@ def test_theta_table_fails_when_the_restriction_kernel_is_off(monkeypatch):
     # A singular image for one regular member flips regularity on its first normal runner.
     target = verify._principal_table(5).regular[3]
     real = verify._theta
-    monkeypatch.setattr(verify, "_theta", lambda display, i: (
-        (1,) * 14 if display.to_partition() == target else real(display, i)))
+    monkeypatch.setattr(verify, "_theta", lambda la, p, i: (
+        (1,) * 14 if la == target else real(la, p, i)))
     (check,) = run_checks(5, ["theta-table"]).checks
     assert not check.passed
     assert check.counterexample == pb.format_partition(target)
