@@ -5,19 +5,20 @@ Positions are 1-based, numbered row-major: position m sits on runner
 the partition with beta-numbers ``beta_i = la_i + r - i + 1``, so the minimum
 beta-number is 1.
 
-Only this module places beads or shifts bits.  A display places them once (``_betas``,
-``_rows``); the per-partition kernels read a private bead mask (``_mask``), whose bit x
-is set iff position x + 1 holds a bead.  Runner counts are popcounts, a bead with a hole
-right above marks a moved runner, and ``_decode`` reads the parts by runs: a bead's part
-is the number of holes below it, so each run of beads, climbing from the lowest hole, is
-one part.  ``_pushed_up`` is the core's mask and ``_moved`` moves beads down by a quotient.
+Only this module places beads or shifts bits.  The abacus is a private bead mask
+(``_mask``), whose bit x is set iff position x + 1 holds a bead.  A display keeps its
+``occupied`` positions for the bead moves and reads its runner data off its mask, as the
+per-partition kernels do.  Runner counts are popcounts, a bead with a hole right above
+marks a moved runner, and ``_decode`` reads the parts by runs: a bead's part is the number
+of holes below it, so each run of beads, climbing from the lowest hole, is one part.
+``_pushed_up`` is the core's mask, ``_moved`` moves beads down by a quotient and
+``_normal_beads`` compares each removable bead's runner with the runner before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, lshift
+from operator import add
 
 from .partitions import (
     Node,
@@ -41,15 +42,6 @@ def _betas(la: Partition, r: int) -> list[int]:
     """Ascending positions of ``la``'s r >= len(la) beads: part i, 0-based, at la_i + r - i."""
     z = r - len(la)
     return [*range(1, z + 1), *map(add, reversed(la), range(z + 1, r + 1))]
-
-
-def _rows(betas, p: int) -> list[list[int]]:
-    """Rows of the ascending positions ``betas`` per runner: ``rows[j-1]`` for runner j."""
-    rows = [[] for _ in range(p)]
-    for m in betas:
-        m -= 1
-        rows[m % p].append(m // p + 1)
-    return rows
 
 
 def _mask(la: Partition, r: int) -> int:
@@ -140,6 +132,27 @@ def _moved(p: int, counts, rest: int, moves) -> int:
     return mask
 
 
+def _normal_beads(mask: int, p: int) -> list[int]:
+    """Positions of the normal beads, ascending.
+
+    A removable bead at bit x (x >= 1, bit x - 1 empty) is normal iff, for every k >= 1,
+    bits x+p, ..., x+kp hold at least as many beads as bits x-1+p, ..., x-1+kp.  The
+    position before a runner-1 bead is runner p one row up, so every runner reads alike.
+    """
+    normals, removable = [], mask & ~(mask << 1) & ~1
+    while removable:
+        x = (bead := removable & -removable).bit_length() - 1
+        removable ^= bead
+        mine, rival, lead = mask >> x + p, mask >> x - 1 + p, 0
+        while rival and lead >= 0:
+            lead += (mine & 1) - (rival & 1)
+            mine >>= p
+            rival >>= p
+        if lead >= 0:
+            normals.append(x + 1)
+    return normals
+
+
 def _pushed_left(mask: int, p: int, i: int) -> int:
     """The mask with the one removable bead on runner i (at m > 1, m - 1 empty) moved to m - 1."""
     beads = mask & ~(mask << 1) & _comb(mask, p) << i - 1 & ~1
@@ -155,23 +168,23 @@ def _pushed_left(mask: int, p: int, i: int) -> int:
 class AbacusDisplay:
     """An immutable set of r occupied positions on p runners.
 
-    ``rows[j-1]`` lists, ascending, the rows of the beads on runner j.
+    The bead moves read ``occupied``; the runner data (counts, components, weight,
+    normal beads) read the same beads as a private bead mask.
     """
 
     p: int
     r: int
     occupied: frozenset[int]
-    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _beads: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_modulus(self.p)
         _require_bead_count(self.r, len(self.occupied))
         if len(self.occupied) != self.r:
             raise ValueError(f"expected {self.r} beads, got {len(self.occupied)}")
-        ordered = sorted(self.occupied)
-        if ordered and ordered[0] < 1:
+        if min(self.occupied, default=1) < 1:
             raise ValueError("positions are 1-based")
-        object.__setattr__(self, "rows", tuple([tuple(beads) for beads in _rows(ordered, self.p)]))
+        object.__setattr__(self, "_beads", sum([1 << m - 1 for m in self.occupied]))
 
     @classmethod
     def from_partition(cls, la: Partition, p: int, r: int) -> "AbacusDisplay":
@@ -185,35 +198,31 @@ class AbacusDisplay:
         _require_modulus(p)
         if len(components) != len(counts):
             raise ValueError(f"{len(counts)} runner counts but {len(components)} components")
-        moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
+        moves = [(j, partition(kappa)) for j, kappa in enumerate(components, start=1) if kappa]
         return _decode(_moved(p, counts, _pushed_up(p, counts), moves))
 
-    def _bead_mask(self) -> int:
-        """The display as a bead mask: bit m - 1 for each occupied position m."""
-        return sum(map(lshift, repeat(1), map(add, self.occupied, repeat(-1))))
-
     def to_partition(self) -> Partition:
-        return _decode(self._bead_mask())
+        return _decode(self._beads)
 
     def runner(self, pos: int) -> int:
         return (pos - 1) % self.p + 1
 
     def beads_on_runner(self, i: int) -> list[int]:
-        return [(t - 1) * self.p + i for t in self.rows[i - 1]]
+        return sorted(m for m in self.occupied if self.runner(m) == i)
 
     # -- runner-level data ----------------------------------------------------
 
     def counts(self) -> tuple[int, ...]:
         """Beads per runner, left to right."""
-        return tuple([len(rows) for rows in self.rows])
+        return _counts(self._beads, self.p)
 
     def components(self) -> tuple[Partition, ...]:
         """Bead weights per runner, bottom bead first: the left-to-right quotient."""
-        comps = _components(self._bead_mask(), self.p)
+        comps = _components(self._beads, self.p)
         return tuple([comps.get(j, ()) for j in range(1, self.p + 1)])
 
     def weight(self) -> int:
-        return _mask_weight(self._bead_mask(), self.p)
+        return _mask_weight(self._beads, self.p)
 
     def core(self) -> Partition:
         """The p-core: every runner's beads pushed up into its top rows."""
@@ -251,28 +260,8 @@ class AbacusDisplay:
         return sum(1 for b in self.occupied if pos - self.p < b < pos)
 
     def normal_beads(self) -> list[int]:
-        """Removable beads passing the runner-count criterion.
-
-        A removable bead in row t of runner i >= 2 is normal when, for every
-        j >= 1, runner i carries at least as many beads in rows t+1..t+j as
-        runner i-1 does.  On runner 1 the comparison is against runner p with
-        the window shifted up one row (rows t..t+j-1).  As prefix counts: the
-        k-th bead below row t on runner i sits no lower than the k-th on the
-        compared runner, for every k up to the compared runner's count.
-        """
-        normals = []
-        for i, mine in enumerate(self.rows, start=1):
-            # Rows of the compared runner, level with runner i.  For runner 1,
-            # row 1 stands for position 0, where no bead can move.
-            left = self.rows[i - 2] if i > 1 else (1, *[t + 1 for t in self.rows[-1]])
-            for t in mine:
-                if t in left:
-                    continue  # not removable
-                below = [u for u in mine if u > t]
-                rival = [u for u in left if u > t]
-                if len(below) >= len(rival) and all(a <= b for a, b in zip(below, rival)):
-                    normals.append((t - 1) * self.p + i)
-        return sorted(normals)
+        """Removable beads passing the runner-count criterion of :func:`_normal_beads`."""
+        return _normal_beads(self._beads, self.p)
 
     def bead_node(self, pos: int) -> Node:
         """The node of the decoded partition carried by the bead at ``pos``."""
@@ -285,10 +274,10 @@ class AbacusDisplay:
 
     def render(self) -> str:
         """Text grid in the style of an abacus figure: runner header, then rows."""
-        height = max((rows[-1] for rows in self.rows if rows), default=1) + 1
-        lines = [" ".join(map(str, range(1, self.p + 1))), "-" * (2 * self.p - 1)]
-        for t in range(1, height + 1):
-            lines.append(" ".join("●" if t in rows else "○" for rows in self.rows))
+        runners = range(1, self.p + 1)
+        lines = [" ".join(map(str, runners)), "-" * (2 * self.p - 1)]
+        for row in range(0, max(self.occupied, default=1) + self.p, self.p):
+            lines.append(" ".join("●" if row + j in self.occupied else "○" for j in runners))
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
@@ -341,6 +330,7 @@ class Pyramid:
 
 
 def p_core(la: Partition, p: int) -> Partition:
+    la = partition(la)
     return AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).core()
 
 
@@ -359,6 +349,7 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
     Entries are ordered by the hook's hand, topmost hand first.  The leg
     length is the number of beta-numbers strictly between beta - p and beta.
     """
+    la = partition(la)
     display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
     return [(display.push_up(m).to_partition(), display.leg_length(m))
             for m in reversed(display.rim_hook_beads())]
@@ -381,6 +372,7 @@ def rim_hook_leg_sum(la: Partition, p: int) -> int:
 
 
 def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:
+    la = partition(la)
     display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p) if r is None else r)
     if display.r % p != 0:
         raise ValueError(f"bead count {r} is not a multiple of {p}")

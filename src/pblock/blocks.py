@@ -5,8 +5,8 @@ Partitions of 3p with empty p-core form the principal block; a partition of
 and one with core (p, 1^(p-1)) in the weight-1 block B_1.  On an abacus display
 whose pushed-up bead counts are fixed, such a partition is named by the runners
 carrying its displaced bead weights, written <i>, <i,j> or <i,j,k>.
-Membership, placement, enumeration and restriction read a display's private bead
-mask through the abacus kernels, without building the display.
+Membership, placement, enumeration, restriction and the normal-bead test read a
+display's private bead mask through the abacus kernels, without building the display.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import islice
 from operator import eq
 
 from .abacus import (AbacusDisplay, _components, _counts, _decode, _is_jm_fayers, _mask, _mask_weight,
-                     _moved, _pushed_left, _pushed_up, default_bead_count, p_core)
+                     _moved, _normal_beads, _pushed_left, _pushed_up, default_bead_count, p_core)
 from .mullineux import _regular
 from .partitions import (
     Partition,
@@ -237,8 +237,9 @@ def _member_3p(la: Partition, p: int, i: int = 1) -> tuple[Partition, int]:
     """A principal-block partition and its <3^p> mask (weight 3: empty core), runner i in range."""
     require_block_prime(p)
     _require_runner(i, p)
-    if sum(la) == 3 * p:
-        mask = _mask(parts := partition(la), 3 * p)
+    parts = partition(la)
+    if sum(parts) == 3 * p:
+        mask = _mask(parts, 3 * p)
         if _mask_weight(mask, p) == 3:
             return parts, mask
     raise ValueError(f"{la} is not in the principal block for p={p}")
@@ -339,10 +340,9 @@ def sigma_partner(la: Partition, p: int, i: int) -> Partition:
 
 def in_lambda_set(la: Partition, p: int, i: int) -> bool:
     """Normal-bead test on runner i of the <3^p> display (p-regular input only)."""
-    _member_3p(la, p, i)
+    la, mask = _member_3p(la, p, i)
     _regular(la, p)
-    display = AbacusDisplay.from_partition(la, p, 3 * p)
-    return not set(display.beads_on_runner(i)).isdisjoint(display.normal_beads())
+    return any((m - 1) % p + 1 == i for m in _normal_beads(mask, p))
 
 
 def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:
@@ -367,8 +367,8 @@ def _loewy2_family(runners: tuple[int, ...], p: int) -> str | None:
 
 def loewy_length_detail(la: Partition, p: int) -> tuple[int, str]:
     """Loewy length 1-4 of the Specht module, with the clause that decided it."""
-    la = partition(la)
-    nota = to_3p(la, p)
+    la, mask = _member_3p(la, p)
+    nota = BeadNotation.from_components(3, _components(mask, p))
     if nota.runners in ((p,), (1, 1, 1)):
         return 1, "irreducible: row or column partition of the block"
     family = _loewy2_family(nota.runners, p)

@@ -62,9 +62,12 @@ def _require_odd_prime(p) -> None:
 def partition(parts) -> Partition:
     """Canonicalize integer parts, dropping trailing zeros: the package's one shape rule.
 
-    Each defect raises "<parts> is not a partition: <reason>".
+    Each defect, a non-iterable ``parts`` included, raises "<parts> is not a partition: <reason>".
     """
-    la = tuple(parts)
+    try:
+        la = tuple(parts)
+    except TypeError as exc:
+        raise ValueError(f"{parts!r} is not a partition: {exc}") from None
     try:
         p = list(map(index, la))
     except TypeError as exc:

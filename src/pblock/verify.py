@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from types import MappingProxyType
 
-from .abacus import AbacusDisplay, _is_jm_fayers, _p_weight
+from .abacus import _is_jm_fayers, _mask, _normal_beads, _p_weight
 from .blocks import (
     BeadNotation,
     _partners,
@@ -333,8 +333,7 @@ def check_theta_table(p: int) -> str:
     previous: dict[int, Partition] = {}
     for la in _principal_table(p).members:
         regular = is_p_regular(la, p)
-        display = AbacusDisplay.from_partition(la, p, 3 * p)
-        for i in sorted({display.runner(m) for m in display.normal_beads()}):
+        for i in sorted({(m - 1) % p + 1 for m in _normal_beads(_mask(la, 3 * p), p)}):
             image = _theta(la, p, i)
             if regular != is_p_regular(image, p):
                 _fail(la, f"regularity flips under restriction to B_{i}")

@@ -126,9 +126,10 @@ def test_partition_from_runners_skips_the_display():
             display = from_runners(5, counts, comps)
             assert AbacusDisplay.partition_from_runners(5, counts, comps) == display.to_partition()
             assert display.components()[j] == kappa
-    for build in (from_runners, AbacusDisplay.partition_from_runners):
-        with pytest.raises(ValueError, match="expected 15 beads, got 14"):
-            build(5, counts, [(0, 1), (), (), (), ()])  # a non-partition component collides
+    with pytest.raises(ValueError, match="expected 15 beads, got 14"):
+        from_runners(5, counts, [(0, 1), (), (), (), ()])  # a non-partition component collides
+    with pytest.raises(ValueError, match=r"\(0, 1\) is not a partition"):
+        AbacusDisplay.partition_from_runners(5, counts, [(0, 1), (), (), (), ()])  # ... unless checked first
 
 
 def test_partition_from_runners_needs_one_component_per_runner():

@@ -110,6 +110,14 @@ def test_a_list_or_trailing_zeros_get_the_canonical_answer(entry, la, args):
     assert entry([*la, 0, 0], *args) == expected
 
 
+@pytest.mark.parametrize("entry, la, args", CANONICAL_CASES,
+                         ids=[entry.__name__ for entry, _, _ in CANONICAL_CASES])
+@pytest.mark.parametrize("bad", [None, 7, ("a",), ("5", "5", "5")], ids=repr)
+def test_malformed_partitions_get_value_error_at_every_entry_point(entry, la, args, bad):
+    with pytest.raises(ValueError, match="is not a partition"):
+        entry(bad, *args)
+
+
 def test_hook_lengths_reject_a_non_partition():
     with pytest.raises(ValueError, match="is not a partition"):
         pb.hook_lengths((1, 2))
@@ -165,8 +173,13 @@ MASK_REJECTIONS = [
     ("oversized runner component",
      lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(1,) * 4] + [()] * 4),
      "component (1, 1, 1, 1) needs more than 3 beads on runner 1"),
-    ("colliding beads",
+    ("negative runner component",
+     lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(-5,)] + [()] * 4),
+     "(-5,) is not a partition: negative part -5"),
+    ("increasing runner component",
      lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(0, 1)] + [()] * 4),
+     "(0, 1) is not a partition: parts not weakly decreasing"),
+    ("colliding beads", lambda: abacus._moved(5, (3,) * 5, abacus._pushed_up(5, (3,) * 5), [(1, (0, 1))]),
      "expected 15 beads, got 14"),
     ("not a core", lambda: pb.enumerate_block(blocks.BlockLabel(5, (5,), 1)), "(5,) is not a 5-core"),
 ]

@@ -24,6 +24,7 @@ from pblock.abacus import (
     _is_jm_fayers,
     _mask,
     _mask_weight,
+    _normal_beads,
     rim_hook_leg_sum,
 )
 from pblock.blocks import BeadNotation, _bead_weights, _partners, counts_3p
@@ -127,6 +128,30 @@ def old_rows(p, occupied):
     return tuple(map(tuple, rows))
 
 
+def old_normal_beads(p, rows):
+    normals = []
+    for i, mine in enumerate(rows, start=1):
+        # Rows of the compared runner, level with runner i.  For runner 1,
+        # row 1 stands for position 0, where no bead can move.
+        left = rows[i - 2] if i > 1 else (1, *[t + 1 for t in rows[-1]])
+        for t in mine:
+            if t in left:
+                continue  # not removable
+            below = [u for u in mine if u > t]
+            rival = [u for u in left if u > t]
+            if len(below) >= len(rival) and all(a <= b for a, b in zip(below, rival)):
+                normals.append((t - 1) * p + i)
+    return sorted(normals)
+
+
+def old_render(p, rows):
+    height = max((beads[-1] for beads in rows if beads), default=1) + 1
+    lines = [" ".join(map(str, range(1, p + 1))), "-" * (2 * p - 1)]
+    for t in range(1, height + 1):
+        lines.append(" ".join("●" if t in beads else "○" for beads in rows))
+    return "\n".join(lines)
+
+
 def old_from_components(weight, components):
     beads = sorted(((w, r) for r, c in components.items() for w in c), reverse=True)
     if tuple(w for w, _ in beads) != _bead_weights(weight, len(beads)):
@@ -172,7 +197,6 @@ def test_node_kernels_match_the_old_rules(p):
 
 def assert_display_matches_the_old_rules(display):
     rows = old_rows(display.p, display.occupied)
-    assert display.rows == rows
     assert display.counts() == tuple(map(len, rows))
     assert display.components() == tuple(map(old_component, rows))
 
@@ -191,6 +215,29 @@ def test_principal_block_displays_match_the_old_rules():
         display = AbacusDisplay.from_partition(la, p, 3 * p)
         assert_display_matches_the_old_rules(display)
         assert pb.to_3p(la, p) == old_from_components(3, dict(enumerate(display.components(), 1)))
+
+
+def assert_normal_beads_and_render_match_the_old_rules(la, p, r):
+    display = AbacusDisplay.from_partition(la, p, r)
+    rows = old_rows(p, display.occupied)
+    normals = old_normal_beads(p, rows)
+    assert _normal_beads(_mask(la, r), p) == normals, (la, p, r)
+    assert display.normal_beads() == normals, (la, p, r)
+    assert display.render() == old_render(p, rows), (la, p, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_normal_beads_and_render_match_the_old_rules(p):
+    for la in all_partitions_up_to(18):
+        r = pb.default_bead_count(la, p)
+        for beads in (len(la), len(la) + 1, r, r + p):
+            assert_normal_beads_and_render_match_the_old_rules(la, p, beads)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_principal_block_normal_beads_and_render_match_the_old_rules(p):
+    for la in pb.enumerate_block(pb.principal_block(p)):
+        assert_normal_beads_and_render_match_the_old_rules(la, p, 3 * p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
