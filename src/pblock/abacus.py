@@ -331,7 +331,7 @@ class Pyramid:
 
 def p_core(la: Partition, p: int) -> Partition:
     la = partition(la)
-    return AbacusDisplay.from_partition(la, p, default_bead_count(la, p)).core()
+    return _decode(_pushed_up(p, _counts(_mask(la, default_bead_count(la, p)), p)))
 
 
 def p_weight(la: Partition, p: int) -> int:
@@ -350,7 +350,8 @@ def rim_hook_removals(la: Partition, p: int) -> list[tuple[Partition, int]]:
     length is the number of beta-numbers strictly between beta - p and beta.
     """
     la = partition(la)
-    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p))
+    r = default_bead_count(la, p)
+    display = AbacusDisplay(p, r, frozenset(_betas(la, r)))
     return [(display.push_up(m).to_partition(), display.leg_length(m))
             for m in reversed(display.rim_hook_beads())]
 
@@ -373,8 +374,10 @@ def rim_hook_leg_sum(la: Partition, p: int) -> int:
 
 def _quotient_display(la: Partition, p: int, r: int | None) -> AbacusDisplay:
     la = partition(la)
-    display = AbacusDisplay.from_partition(la, p, default_bead_count(la, p) if r is None else r)
-    if display.r % p != 0:
+    r = default_bead_count(la, p) if r is None else r
+    _require_bead_count(r, len(la))
+    display = AbacusDisplay(p, r, frozenset(_betas(la, r)))
+    if r % p != 0:
         raise ValueError(f"bead count {r} is not a multiple of {p}")
     return display
 

@@ -5,8 +5,9 @@ Partitions of 3p with empty p-core form the principal block; a partition of
 and one with core (p, 1^(p-1)) in the weight-1 block B_1.  On an abacus display
 whose pushed-up bead counts are fixed, such a partition is named by the runners
 carrying its displaced bead weights, written <i>, <i,j> or <i,j,k>.
-Membership, placement, enumeration, restriction and the normal-bead test read a
-display's private bead mask through the abacus kernels, without building the display.
+Membership, placement, decoding, enumeration, restriction and the normal-bead test read a
+display's private bead mask through the abacus kernels, without building the display.  An
+entry point canonicalises its partition once, then calls kernels that do not check it again.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import eq
 
-from .abacus import (AbacusDisplay, _components, _counts, _decode, _is_jm_fayers, _mask, _mask_weight,
-                     _moved, _normal_beads, _pushed_left, _pushed_up, default_bead_count, p_core)
+from .abacus import (_components, _counts, _decode, _is_jm_fayers, _mask, _mask_weight, _moved,
+                     _normal_beads, _pushed_left, _pushed_up, default_bead_count, p_core)
 from .mullineux import _regular
 from .partitions import (
     Partition,
@@ -125,8 +126,9 @@ def decode_notation(nota: BeadNotation, p: int, counts) -> Partition:
     """The partition named by a placement on the display with the given bead counts."""
     _require_modulus(p)
     _require_runner(max(nota.runners), p)  # BeadNotation keeps runners 1-based ints
-    comps = nota.components()
-    return AbacusDisplay.partition_from_runners(p, counts, [comps.get(j, ()) for j in range(1, p + 1)])
+    if len(counts) != p:
+        raise ValueError(f"{len(counts)} runner counts but {p} components")
+    return _decode(_moved(p, counts, _pushed_up(p, counts), sorted(nota.components().items())))
 
 
 def encode_notation(la: Partition, p: int, counts) -> BeadNotation:
@@ -137,9 +139,7 @@ def encode_notation(la: Partition, p: int, counts) -> BeadNotation:
     mask = _mask(parts, r)
     if _counts(mask, p) != tuple(counts):
         raise ValueError(f"{la} has bead counts {_counts(mask, p)}, expected {tuple(counts)}")
-    comps = _components(mask, p)
-    weight = sum(map(sum, comps.values()))
-    return BeadNotation.from_components(weight, {j: comps.get(j, ()) for j in range(1, p + 1)})
+    return BeadNotation.from_components(_mask_weight(mask, p), _components(mask, p))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def principal_block(p: int) -> BlockLabel:
 def defect2_block(p: int, i: int) -> BlockLabel:
     require_block_prime(p)
     _require_runner(i, p, 2)
-    return BlockLabel(p, partition((i - 1,) + (1,) * (p - i)), 2)
+    return BlockLabel(p, (i - 1,) + (1,) * (p - i), 2)
 
 
 def defect1_block(p: int) -> BlockLabel:
@@ -303,10 +303,13 @@ def partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
 
     These are the partitions obtained by adding an addable node of residue
     i - 1 to ``la_tilde``; there are two of them for i >= 2 and three for i = 1.
-    Each lies in the principal block: see :func:`_partners`.
+    Each lies in the principal block: see :func:`_partners`.  B_i's members are the
+    partitions of 3p - 1 with its runner counts on 3p beads, as :func:`_theta` asserts.
     """
     la_tilde = partition(la_tilde)
-    if not in_block(la_tilde, restriction_block(p, i)):
+    require_block_prime(p)
+    _require_runner(i, p)
+    if sum(la_tilde) != 3 * p - 1 or _counts(_mask(la_tilde, 3 * p), p) != counts_3p(p, i):
         raise ValueError(f"{la_tilde} is not in B_{i} for p={p}")
     return _partners(la_tilde, p, i)
 
@@ -325,11 +328,11 @@ def _partners(la_tilde: Partition, p: int, i: int) -> tuple[Partition, ...]:
 
 
 def sigma_partner(la: Partition, p: int, i: int) -> Partition:
-    """The unique smaller partner with the same restriction to B_i (i >= 2)."""
-    la = partition(la)
+    """The unique smaller partner with the same restriction to B_i (i >= 2); checks p, i, then la, once."""
     require_block_prime(p)
     _require_runner(i, p, 2)
-    pair = partners(theta(la, p, i), p, i)
+    la = _member_3p(la, p, i)[0]
+    pair = _partners(_theta(la, p, i), p, i)
     if la not in pair:
         raise RuntimeError(f"{la} missing from its own partner pair {pair}")
     smaller = [mu for mu in pair if mu < la]
@@ -347,9 +350,8 @@ def in_lambda_set(la: Partition, p: int, i: int) -> bool:
 
 def irreducible_set_X(p: int, i: int) -> tuple[BeadNotation, ...]:
     """Placements in B_i (on the <3^(i-2),4,2,3^(p-i)> display) passing the quotient test."""
-    hits = [la for la in enumerate_block(defect2_block(p, i)) if _is_jm_fayers(la, p)]
-    counts = counts_3p(p, i)
-    return tuple(encode_notation(la, p, counts) for la in hits)
+    return tuple([BeadNotation.from_components(2, _components(_mask(la, 3 * p), p))
+                  for la in enumerate_block(defect2_block(p, i)) if _is_jm_fayers(la, p)])
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,12 @@ def _N3(*runners) -> BeadNotation:
 class _PrincipalTable:
     """What the checks share about the principal block at one prime.
 
-    ``members`` is descending lex; ``regular`` and ``both`` (regular and
-    restricted) keep that order; ``images`` maps each regular member to its
-    Mullineux image.  The table holds each partition once: an image is the
-    regular member that equals it, and only an image outside the regular
-    members is kept as computed.
+    ``members`` is descending lex; ``images`` maps each regular member, in that order, to
+    its Mullineux image, and ``both`` lists the regular and restricted ones.  The table holds
+    each partition once: an image is the member equal to it, or kept as computed if none is.
     """
 
     members: tuple[Partition, ...]
-    regular: tuple[Partition, ...]
     both: tuple[Partition, ...]
     images: MappingProxyType[Partition, Partition]
 
@@ -115,10 +112,9 @@ def _interned(ordered: tuple[Partition, ...], la: Partition) -> Partition:
 @functools.lru_cache(maxsize=1)  # one prime at a time: a sweep drops a table before building the next
 def _principal_table(p: int) -> _PrincipalTable:
     members = enumerate_block(principal_block(p))
-    regular = tuple(la for la in members if is_p_regular(la, p))
-    return _PrincipalTable(members, regular,
-                           tuple(la for la in regular if is_p_restricted(la, p)),
-                           MappingProxyType({la: _interned(regular, _mullineux(la, p)) for la in regular}))
+    images = {la: _interned(members, _mullineux(la, p)) for la in members if is_p_regular(la, p)}
+    both = tuple(la for la in images if is_p_restricted(la, p))
+    return _PrincipalTable(members, both, MappingProxyType(images))
 
 
 def _loewy2_families(p: int) -> dict[str, frozenset[BeadNotation]]:
@@ -243,7 +239,7 @@ def check_prop212(p: int) -> str:
     if p >= 7:
         spread = {from_3p(_N3(i, j, k), p)
                   for i in range(3, p + 1) for j in range(2, i - 1) for k in range(2, j - 1)}
-    for la in _principal_table(p).regular:
+    for la in _principal_table(p).images:
         count = tau_p(la, p)
         if p == 5 and count > 2:
             _fail(la, "a 5-regular partition with more than two normal nodes")
@@ -294,13 +290,12 @@ def check_mullineux_conformance(p: int) -> str:
         if {mullineux(la, 5) for la in second_layer} != third_layer:
             _fail(sorted(second_layer)[0], "the six-element layer does not map onto its twin")
     table = _principal_table(p)
-    for la in table.regular:
-        image = table.images[la]
+    for la, image in table.images.items():
         if table.images.get(image) != la:
             _fail(la, "not an involution on the block")
         if not _good_nodes_pair_off(la, image, p):
             _fail(la, "good nodes do not pair off with negated residues")
-    return f"worked symbols and images match; involution holds on {len(table.regular)} block partitions"
+    return f"worked symbols and images match; involution holds on {len(table.images)} block partitions"
 
 
 def check_parity_flip(p: int) -> str:

@@ -2,12 +2,13 @@
 
 import re
 import signal
+import sys
 from contextlib import contextmanager
 
 import pytest
 
 import pblock as pb
-from pblock import abacus, blocks, hooks
+from pblock import abacus, blocks, hooks, partitions
 from pblock.mullineux import strip_p_rim
 
 
@@ -118,6 +119,40 @@ def test_malformed_partitions_get_value_error_at_every_entry_point(entry, la, ar
         entry(bad, *args)
 
 
+# partition() calls made by one call: one for a partition argument, none for what the entry
+# point builds itself, and none through another public function that would check it again.
+PARTITION_CALLS = [(entry, la, args, 1) for entry, la, args in CANONICAL_CASES
+                   if entry is not pb.in_lambda_set] + [
+    # Membership, then mullineux._regular, the one place of the "is not p-regular" message.
+    (pb.in_lambda_set, STAIRCASE, (5, 3), 2),
+    (pb.reordered_quotient, STAIRCASE, (5,), 1),
+    (pb.encode_notation, STAIRCASE, (5, (3,) * 5), 1),
+    (pb.from_3p, pb.BeadNotation(3, (3, 2, 1)), (5,), 0),
+    (pb.decode_notation, pb.BeadNotation(3, (4, 2)), (5, blocks.counts_3p(5, 2)), 0),
+    (pb.restriction_block, 5, (3,), 0),
+    (pb.irreducible_set_X, 5, (3,), 1),  # the core that enumerate_block checks
+]
+
+
+@pytest.mark.parametrize("entry, la, args, calls", PARTITION_CALLS,
+                         ids=[entry.__name__ for entry, *_ in PARTITION_CALLS])
+def test_each_entry_point_canonicalises_its_partition_once(monkeypatch, entry, la, args, calls):
+    real, seen = partitions.partition, []
+
+    def counting(parts):
+        seen.append(parts)
+        return real(parts)
+
+    binders = [name for name, module in sorted(sys.modules.items())
+               if name.split(".")[0] == "pblock" and getattr(module, "partition", None) is real]
+    assert {"pblock.abacus", "pblock.blocks", "pblock.hooks", "pblock.mullineux",
+            "pblock.partitions"} <= set(binders)
+    for name in binders:
+        monkeypatch.setattr(sys.modules[name], "partition", counting)
+    entry(la, *args)
+    assert len(seen) == calls, seen
+
+
 def test_hook_lengths_reject_a_non_partition():
     with pytest.raises(ValueError, match="is not a partition"):
         pb.hook_lengths((1, 2))
@@ -182,6 +217,15 @@ MASK_REJECTIONS = [
     ("colliding beads", lambda: abacus._moved(5, (3,) * 5, abacus._pushed_up(5, (3,) * 5), [(1, (0, 1))]),
      "expected 15 beads, got 14"),
     ("not a core", lambda: pb.enumerate_block(blocks.BlockLabel(5, (5,), 1)), "(5,) is not a 5-core"),
+    ("member of another B_j", lambda: pb.partners(pb.theta(STAIRCASE, 5, 2), 5, 3),
+     f"{pb.theta(STAIRCASE, 5, 2)} is not in B_3 for p=5"),
+    ("member of B_1 for B_2", lambda: pb.partners(pb.theta(STAIRCASE, 5, 1), 5, 2),
+     f"{pb.theta(STAIRCASE, 5, 1)} is not in B_2 for p=5"),
+    ("principal-block member", lambda: pb.partners(STAIRCASE, 5, 3), "(5, 4, 3, 2, 1) is not in B_3 for p=5"),
+    ("partners at a composite p", lambda: pb.partners(pb.theta(STAIRCASE, 5, 3), 9, 3),
+     "p must be a prime at least 5, got 9"),
+    ("runner counts of the wrong length", lambda: pb.decode_notation(pb.BeadNotation(3, (2, 1)), 5, (3,) * 4),
+     "4 runner counts but 5 components"),
 ]
 
 

@@ -51,7 +51,7 @@ def test_the_table_holds_each_partition_once(p):
 
 def test_mullineux_conformance_fails_on_an_image_outside_the_block(monkeypatch, fresh_table):
     # The target lies above its true image, so the check meets it first.
-    target = verify._principal_table(5).regular[2]
+    target = tuple(verify._principal_table(5).images)[2]
     verify._principal_table.cache_clear()
     real = verify._mullineux
     monkeypatch.setattr(verify, "_mullineux", lambda la, p: (16,) if la == target else real(la, p))
@@ -211,7 +211,7 @@ def test_lemma34_fails_when_the_weight_kernel_is_off(monkeypatch):
 
 def test_theta_table_fails_when_the_restriction_kernel_is_off(monkeypatch):
     # A singular image for one regular member flips regularity on its first normal runner.
-    target = verify._principal_table(5).regular[3]
+    target = tuple(verify._principal_table(5).images)[3]
     real = verify._theta
     monkeypatch.setattr(verify, "_theta", lambda la, p, i: (
         (1,) * 14 if la == target else real(la, p, i)))
