@@ -192,15 +192,6 @@ class AbacusDisplay:
         _require_bead_count(r, len(la))
         return cls(p, r, frozenset(_betas(la, r)))
 
-    @staticmethod
-    def partition_from_runners(p: int, counts, components) -> Partition:
-        """The partition with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-        _require_modulus(p)
-        if len(components) != len(counts):
-            raise ValueError(f"{len(counts)} runner counts but {len(components)} components")
-        moves = [(j, partition(kappa)) for j, kappa in enumerate(components, start=1) if kappa]
-        return _decode(_moved(p, counts, _pushed_up(p, counts), moves))
-
     def to_partition(self) -> Partition:
         return _decode(self._beads)
 

@@ -9,7 +9,7 @@ import sys
 
 from . import abacus, blocks, hooks, verify
 from .mullineux import mullineux as mullineux_image  # noqa: F401  (bench/test_bench.py checks its tracing)
-from .mullineux import MullineuxSymbol, _flipped_image, mullineux_symbol, parity
+from .mullineux import MullineuxSymbol, _flipped, _rebuild, mullineux_symbol, parity
 from .partitions import (
     addable_nodes,
     conjugate,
@@ -91,7 +91,7 @@ def _inspect_record(la, p: int) -> dict:
     }
     if record["p_regular"]:
         symbol = mullineux_symbol(la, p)
-        record["mullineux"] = list(_flipped_image(symbol.a, symbol.r, p))
+        record["mullineux"] = list(_rebuild(*_flipped(symbol.a, symbol.r, p), p))
         record["mullineux_symbol"] = symbol.to_json_dict()
     if in_principal:
         length, reason = blocks.loewy_length_detail(la, p)

@@ -8,7 +8,12 @@ telescope, and each segment ends where a bisection of the ascending -b_j finds i
 ``strip_p_rim`` takes the rim off segment by segment, and ``_add_p_rim`` puts it
 back segment by segment from the bottom row up.  Stripping down to the empty
 partition records the symbol (sizes stripped; row counts); the involution
-replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j).
+replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j):
+``_flipped``, which ``_rebuild`` turns into the image.
+
+The good-node rule m(la - A) = m(la) - B, res B = -res A (Ford-Kleshchev), is
+checked once per pair {la, m(la)}, from both sides, by comparing strip chains
+(``_good_node_sides``): no image is rebuilt.
 """
 
 from __future__ import annotations
@@ -147,15 +152,12 @@ def mullineux(la: Partition, p: int) -> Partition:
 
 def _mullineux(la: Partition, p: int) -> Partition:
     """:func:`mullineux` for a p-regular partition and a prime p, unchecked."""
-    return _flipped_image(*_symbol_rows(la, p), p)
+    return _rebuild(*_flipped(*_symbol_rows(la, p), p), p)
 
 
-def _flipped_image(sizes, rows, p: int) -> Partition:
-    """The Mullineux image of the partition whose symbol has rows ``sizes`` and ``rows``.
-
-    Rebuilds from the flipped symbol through ``_add_p_rim``, whose re-strip checks each step.
-    """
-    return _rebuild(sizes, [a - r + (1 if a % p else 0) for a, r in zip(sizes, rows)], p)
+def _flipped(sizes, rows, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The symbol rows of the Mullineux image: each row count r becomes a - r (+1 unless p | a)."""
+    return sizes, tuple([a - r + (1 if a % p else 0) for a, r in zip(sizes, rows)])
 
 
 def parity(la: Partition, p: int) -> int:
@@ -168,23 +170,24 @@ def check_good_node_compatibility(la: Partition, p: int) -> bool:
 
     For every good node A of residue alpha whose removal stays p-regular,
     the image must have a good node B of residue -alpha with
-    m(la - A) = m(la) - B.
+    m(la - A) = m(la) - B, and the same from the image's side.  Both
+    sides are checked at once, by comparing strip chains.
     """
     la = _regular(la, p)
-    return _good_nodes_pair_off(la, _mullineux(la, p), p)
+    return all(_good_node_sides(la, _mullineux(la, p), p))
 
 
-def _good_nodes_pair_off(la: Partition, image: Partition, p: int) -> bool:
-    """The good-node pairing of :func:`check_good_node_compatibility`, given ``la``'s image."""
-    image_goods = {_residue(node, p): node for node in good_nodes(image, p)}
-    for node in good_nodes(la, p):
-        smaller = _without(la, node)
-        if not is_p_regular(smaller, p):
-            continue
-        mirror = image_goods.get(-_residue(node, p) % p)
-        if mirror is None:
-            return False
-        if _mullineux(smaller, p) != _without(image, mirror):
-            return False
-    return True
+def _good_node_sides(la: Partition, image: Partition, p: int) -> tuple[bool, bool]:
+    """Whether the good-node rule holds from ``la``'s side and from the side of its image.
 
+    A is ``la``'s good alpha-node and B the image's good (-alpha)-node, each side's p-regular
+    removal keyed by alpha.  Each side whose removal stays p-regular needs m(la - A) = image - B.
+    A p-regular partition is fixed by its symbol, so that holds when image - B is p-regular with
+    the flipped strip chain of la - A: no image is rebuilt.
+    """
+    ours, theirs = ({sign * _residue(node, p) % p: smaller for node in good_nodes(mu, p)
+                     if is_p_regular(smaller := _without(mu, node), p)}
+                    for mu, sign in ((la, 1), (image, -1)))
+    matched = {alpha for alpha in ours.keys() & theirs.keys()
+               if _symbol_rows(theirs[alpha], p) == _flipped(*_symbol_rows(ours[alpha], p), p)}
+    return ours.keys() <= matched, theirs.keys() <= matched

@@ -38,7 +38,7 @@ from .blocks import (
 from .hooks import _is_jm_direct
 from .mullineux import (
     MullineuxSymbol,
-    _good_nodes_pair_off,
+    _good_node_sides,
     _mullineux,
     mullineux,
     mullineux_symbol,
@@ -293,14 +293,19 @@ def check_mullineux_conformance(p: int) -> str:
     for la, image in table.images.items():
         if table.images.get(image) != la:
             _fail(la, "not an involution on the block")
-        if not _good_nodes_pair_off(la, image, p):
-            _fail(la, "good nodes do not pair off with negated residues")
+    # Each pair {la, image} once, at its first member in block order (descending lex).
+    failing = [mu for la, image in table.images.items() if image <= la
+               for mu, holds in zip((la, image), _good_node_sides(la, image, p)) if not holds]
+    if failing:  # name the first in block order, as a walk over every member would
+        _fail(max(failing), "good nodes do not pair off with negated residues")
     return f"worked symbols and images match; involution holds on {len(table.images)} block partitions"
 
 
 def check_parity_flip(p: int) -> str:
     table = _principal_table(p)
     for la, image in table.images.items():
+        if image > la and table.images.get(image) == la:
+            continue  # the pair was checked at its first member, ``image``
         if parity(image, p) == parity(la, p):
             _fail(la, "image has the same parity")
     return f"parity flips under the involution for all {len(table.images)} regular partitions"

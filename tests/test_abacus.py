@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pblock as pb
-from pblock.abacus import AbacusDisplay, _is_jm_fayers, _moved, _p_weight, _pushed_up
+from pblock.abacus import AbacusDisplay, _is_jm_fayers, _p_weight
 from pblock.hooks import _is_jm_direct
 from conftest import all_partitions_up_to, partitions
 
@@ -102,39 +102,6 @@ def test_bead_moves_are_value_ops():
         display.push_left(22)  # 21 occupied
     with pytest.raises(ValueError):
         display.push_up(12)  # 7 occupied
-
-
-def from_runners(p, counts, components):
-    """The display with ``counts[j-1]`` beads on runner j, displaced by ``components[j-1]``."""
-    moves = [(j, kappa) for j, kappa in enumerate(components, start=1) if kappa]
-    mask = _moved(p, counts, _pushed_up(p, counts), moves)
-    occupied = frozenset(m for m in range(1, mask.bit_length() + 1) if mask >> m - 1 & 1)
-    return AbacusDisplay(p, sum(counts), occupied)
-
-
-def test_partition_from_runners_skips_the_display():
-    counts = (4, 2, 3, 3, 3)
-    for j in range(5):
-        for kappa in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]:
-            comps = [()] * 5
-            comps[j] = kappa
-            if len(kappa) > counts[j]:
-                for build in (from_runners, AbacusDisplay.partition_from_runners):
-                    with pytest.raises(ValueError, match="needs more than"):
-                        build(5, counts, comps)
-                continue
-            display = from_runners(5, counts, comps)
-            assert AbacusDisplay.partition_from_runners(5, counts, comps) == display.to_partition()
-            assert display.components()[j] == kappa
-    with pytest.raises(ValueError, match="expected 15 beads, got 14"):
-        from_runners(5, counts, [(0, 1), (), (), (), ()])  # a non-partition component collides
-    with pytest.raises(ValueError, match=r"\(0, 1\) is not a partition"):
-        AbacusDisplay.partition_from_runners(5, counts, [(0, 1), (), (), (), ()])  # ... unless checked first
-
-
-def test_partition_from_runners_needs_one_component_per_runner():
-    with pytest.raises(ValueError, match="5 runner counts but 4 components"):
-        AbacusDisplay.partition_from_runners(5, (3,) * 5, [(1,), (), (), ()])
 
 
 # ---------------------------------------------------------------------------

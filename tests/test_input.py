@@ -65,8 +65,6 @@ def test_quotients_with_an_explicit_bead_count_reject_the_modulus_too(p):
 @pytest.mark.parametrize("p", [0, 1, -3, 5.0, True])
 def test_runner_decoding_checks_the_modulus(p):
     with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
-        pb.AbacusDisplay.partition_from_runners(p, (3,) * 5, [(1,), (), (), (), ()])
-    with pytest.raises(ValueError, match=f"p must be an integer at least 2, got {p}"):
         pb.decode_notation(pb.BeadNotation(3, (1,)), p, (3,) * 5)
 
 
@@ -205,15 +203,6 @@ MASK_REJECTIONS = [
     ("oversized component",
      lambda: pb.decode_notation(pb.BeadNotation(3, (2, 2, 2)), 5, blocks.counts_3p(5, 2)),
      "component (1, 1, 1) needs more than 2 beads on runner 2"),
-    ("oversized runner component",
-     lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(1,) * 4] + [()] * 4),
-     "component (1, 1, 1, 1) needs more than 3 beads on runner 1"),
-    ("negative runner component",
-     lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(-5,)] + [()] * 4),
-     "(-5,) is not a partition: negative part -5"),
-    ("increasing runner component",
-     lambda: pb.AbacusDisplay.partition_from_runners(5, (3,) * 5, [(0, 1)] + [()] * 4),
-     "(0, 1) is not a partition: parts not weakly decreasing"),
     ("colliding beads", lambda: abacus._moved(5, (3,) * 5, abacus._pushed_up(5, (3,) * 5), [(1, (0, 1))]),
      "expected 15 beads, got 14"),
     ("not a core", lambda: pb.enumerate_block(blocks.BlockLabel(5, (5,), 1)), "(5,) is not a 5-core"),

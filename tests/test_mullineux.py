@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 import pblock as pb
 from pblock.blocks import BeadNotation
 from pblock.abacus import rim_hook_removals
-from pblock.mullineux import _add_p_rim, _mullineux, rim_hook_leg_sum, strip_p_rim
+from pblock.mullineux import (
+    _add_p_rim,
+    _good_node_sides,
+    _mullineux,
+    _symbol_rows,
+    rim_hook_leg_sum,
+    strip_p_rim,
+)
 from conftest import all_partitions_up_to, leg_sum_parities, partitions, regular_partitions
 
 ROUND_TRIP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -309,3 +316,45 @@ def test_good_node_compatibility_on_block():
         for la in pb.enumerate_block(pb.principal_block(p)):
             if pb.is_p_regular(la, p):
                 assert pb.check_good_node_compatibility(la, p)
+
+
+def good_node_rule(la, image, p):
+    """The rule from ``la``'s side, one rebuilt image per good node: the reference for the kernel.
+
+    Every good node A of ``la`` whose removal stays p-regular needs a good node B of ``image``
+    with res B = -res A and _mullineux(la - A) == image - B.
+    """
+    mirrors = {pb.residue(node, p): node for node in pb.good_nodes(image, p)}
+    for node in pb.good_nodes(la, p):
+        smaller = pb.remove_node(la, node)
+        if not pb.is_p_regular(smaller, p):
+            continue
+        mirror = mirrors.get(-pb.residue(node, p) % p)
+        if mirror is None or _mullineux(smaller, p) != pb.remove_node(image, mirror):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_the_pair_kernel_matches_the_rebuilt_images(p):
+    # Each regular partition against its image, and against the next regular partition of its
+    # size, which is not its image: the kernel answers both sides as the reference does.
+    failed_sides = 0
+    for n in range(17):
+        regular = [la for la in pb.partitions_of(n) if pb.is_p_regular(la, p)]
+        for la, other in zip(regular, regular[1:] + regular[:1]):
+            for image in {pb.mullineux(la, p), other}:
+                expected = (good_node_rule(la, image, p), good_node_rule(image, la, p))
+                assert _good_node_sides(la, image, p) == expected, (la, image)
+                failed_sides += expected.count(False)
+    assert failed_sides > 1000
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_the_strip_chain_tells_regular_partitions_apart(p):
+    # The pair kernel compares strip chains instead of partitions: that needs this.
+    seen = {}
+    for la in all_partitions_up_to(22):
+        if pb.is_p_regular(la, p):
+            assert seen.setdefault(_symbol_rows(la, p), la) == la
+    assert len(seen) > 3000

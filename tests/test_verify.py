@@ -1,5 +1,6 @@
 """Check-level pins: the `detail` strings of `run_checks`, and the slow large-prime tier."""
 
+import importlib
 import inspect
 import json
 import os
@@ -9,8 +10,10 @@ import tracemalloc
 import pytest
 
 import pblock as pb
-from pblock import abacus, blocks, verify
+from pblock import abacus, blocks, partitions, verify
 from pblock.verify import run_checks
+
+mullineux_module = importlib.import_module("pblock.mullineux")  # pblock.mullineux is also the function
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference", "verify.json")
 
@@ -58,6 +61,29 @@ def test_mullineux_conformance_fails_on_an_image_outside_the_block(monkeypatch, 
     assert _failure("mullineux-conformance") == (pb.format_partition(target),
                                                  "not an involution on the block")
     assert verify._principal_table(5).images[target] == (16,)
+
+
+def test_mullineux_conformance_fails_when_good_nodes_drop_the_top_one(monkeypatch):
+    # Four members at p = 7 have three good nodes, two Mullineux pairs; the first is named.
+    real = partitions.good_nodes
+
+    def mutant(la, p):
+        goods = real(la, p)
+        return goods[1:] if len(goods) >= 3 else goods
+
+    monkeypatch.setattr(mullineux_module, "good_nodes", mutant)
+    assert _failure("mullineux-conformance", 7) == ("7,6,5,2,1",
+                                                    "good nodes do not pair off with negated residues")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_mullineux_conformance_fails_when_the_pair_kernel_flips_wrongly(monkeypatch, fresh_table, p):
+    # Flip rims of p cells but not of 2p: the table is built first, so only the kernel sees it.
+    verify._principal_table(p)
+    monkeypatch.setattr(mullineux_module, "_flipped", lambda sizes, rows, q: (
+        sizes, tuple(a - r + (a != q) for a, r in zip(sizes, rows))))
+    assert _failure("mullineux-conformance", p) == (f"{2 * p},{p}",
+                                                    "good nodes do not pair off with negated residues")
 
 
 @pytest.mark.parametrize("name", ["prop31", "loewy-partition"])
