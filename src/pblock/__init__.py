@@ -56,7 +56,6 @@ from .partitions import (
     is_hook,
     is_p_regular,
     is_p_restricted,
-    lex_compare,
     normal_nodes,
     parse_partition,
     partition,
@@ -64,7 +63,6 @@ from .partitions import (
     removable_nodes,
     remove_node,
     residue,
-    strictly_dominates,
 )
 from .verify import CHECKS, VerificationReport, run_checks
 

@@ -213,6 +213,8 @@ def enumerate_block(label: BlockLabel) -> tuple[Partition, ...]:
     beads, so every component fits.
     """
     p, w = label.p, label.weight
+    if type(w) is not int or w < 0:
+        raise ValueError(f"block weight must be an integer at least 0, got {w}")
     r = default_bead_count(label.core, p)
     core = _mask(partition(label.core), r)
     counts = _counts(core, p)

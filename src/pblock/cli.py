@@ -254,7 +254,7 @@ def cmd_verify(args) -> int:
         for check in rep.checks:
             status = "PASS" if check.passed else "FAIL"
             lines.append(f"  [{status}] {check.name:<22} ({check.elapsed:6.2f}s)  {check.detail}")
-            if not check.passed:
+            if check.counterexample is not None:
                 lines.append(f"         counterexample: {check.counterexample}")
     ok = all(rep.all_passed for rep in reports)
     lines.append("all checks passed" if ok else "verification FAILED")

@@ -1,4 +1,8 @@
-"""Hook lengths, p-power diagrams and the direct row/column irreducibility test."""
+"""Hook lengths, p-power diagrams and the direct row/column irreducibility test.
+
+``p_power_diagram`` and ``is_jm_direct`` check p once; the valuation kernel they
+call per hook checks nothing, since every hook length is at least 1.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +13,8 @@ from .partitions import Partition, _require_modulus, _require_odd_prime, conjuga
 Diagram = list[list[int]]
 
 
-def p_adic_valuation(h: int, p: int) -> int:
-    """Largest e with p**e dividing h, by repeated division."""
-    _require_modulus(p)
-    if h == 0:
-        raise ValueError("valuation of zero is undefined")
+def _valuation(h: int, p: int) -> int:
+    """Largest e with p**e dividing a positive h, by repeated division, unchecked."""
     e = 0
     while h % p == 0:
         h //= p
@@ -34,7 +35,7 @@ def hook_lengths(la: Partition) -> Diagram:
 def p_power_diagram(la: Partition, p: int) -> Diagram:
     """Tableau of p-adic valuations of the hook lengths."""
     _require_modulus(p)
-    return [[p_adic_valuation(h, p) if h % p == 0 else 0 for h in row] for row in hook_lengths(la)]
+    return [[_valuation(h, p) if h % p == 0 else 0 for h in row] for row in hook_lengths(la)]
 
 
 def is_jm_direct(la: Partition, p: int) -> bool:
@@ -73,7 +74,7 @@ def _is_jm_direct(la: Partition, p: int) -> bool:
         positive = bucket[:bisect_left(bucket, part)]
         if not positive:
             continue
-        if len(positive) == part and len({p_adic_valuation(arm + legs[j], p) for j in positive}) == 1:
+        if len(positive) == part and len({_valuation(arm + legs[j], p) for j in positive}) == 1:
             continue
         for j in positive:
             if j not in constant:
@@ -88,7 +89,7 @@ def _constant_column(column: list[int], p: int) -> bool:
     """True iff every hook in ``column`` is divisible by p, all to the same power."""
     if any(h % p for h in column):
         return False
-    return len({p_adic_valuation(h, p) for h in column}) == 1
+    return len({_valuation(h, p) for h in column}) == 1
 
 
 def format_diagram(diagram: Diagram) -> str:

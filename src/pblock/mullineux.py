@@ -5,7 +5,7 @@ in segments of p cells; a full segment skips the rest of its final row.  Row i
 (0-based) offers la_i - la_{i+1} + 1 cells, the row after the last counting as
 length 1, so rows s..k offer b_s - b_{k+1} with b_j = la_j - j: the sums
 telescope, and each segment ends where a bisection of the ascending -b_j finds it.
-``strip_p_rim`` takes the rim off segment by segment, and ``_add_p_rim`` puts it
+``_strip_p_rim`` takes the rim off segment by segment, and ``_add_p_rim`` puts it
 back segment by segment from the bottom row up.  Stripping down to the empty
 partition records the symbol (sizes stripped; row counts); the involution
 replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j):
@@ -14,6 +14,10 @@ replaces each row count r_j with a_j - r_j (+1 when p does not divide a_j):
 The good-node rule m(la - A) = m(la) - B, res B = -res A (Ford-Kleshchev), is
 checked once per pair {la, m(la)}, from both sides, by comparing strip chains
 (``_good_node_sides``): no image is rebuilt.
+
+The public functions check p and the partition once (``_regular``,
+``_require_prime``, ``MullineuxSymbol``); the strip and add kernels check
+nothing.  ``_add_p_rim`` still re-strips its one candidate, a partition it built.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from operator import ge, sub
 from .abacus import rim_hook_leg_sum
 from .partitions import (
     Partition,
-    _require_modulus,
     _residue,
     _without,
     good_nodes,
@@ -35,14 +38,8 @@ from .partitions import (
 )
 
 
-def strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
-    """Remove the p-rim segment by segment; returns (smaller partition, cells removed, rows of ``la``)."""
-    _require_modulus(p)
-    if not la:
-        raise ValueError("cannot strip the empty partition")
-    if la[-1] < 1 or not all(map(ge, la, la[1:])):
-        reason = "parts not weakly decreasing" if la[-1] > 0 else f"non-positive part {la[-1]}"
-        raise ValueError(f"{la} is not a partition: {reason}")
+def _strip_p_rim(la: Partition, p: int) -> tuple[Partition, int, int]:
+    """Strip the p-rim of a nonempty partition, unchecked: (smaller partition, cells removed, rows)."""
     nb = [*map(sub, range(len(la)), la), len(la) - 1]  # nb_j = j - la_j = -b_j, strictly ascending
     parts = [part - 1 for part in la[1:]] + [0]  # a row inside a segment keeps la_{i+1} - 1 cells
     s = 0  # the row where the open segment starts
@@ -99,7 +96,7 @@ def _symbol_rows(la: Partition, p: int) -> tuple[tuple[int, ...], tuple[int, ...
     sizes, rows = [], []
     current = la
     while current:
-        current, a, k = strip_p_rim(current, p)
+        current, a, k = _strip_p_rim(current, p)
         sizes.append(a)
         rows.append(k)
     return tuple(sizes), tuple(rows)
@@ -126,8 +123,8 @@ def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
         if end < 0:
             break
     la[:start] = m[:start]  # rows above the top segment keep their cells
-    if la[-1] < 1 or not all(map(ge, la, la[1:])) or strip_p_rim(tuple(la), p) != (mu, a, r):
-        raise ValueError(f"no unique p-rim addition for {(mu, a, r)}: []")
+    if la[-1] < 1 or not all(map(ge, la, la[1:])) or _strip_p_rim(tuple(la), p) != (mu, a, r):
+        raise ValueError(f"no unique p-rim addition for {(mu, a, r)}")
     return tuple(la)
 
 

@@ -170,15 +170,6 @@ def dominates(la: Partition, mu: Partition) -> bool:
     return True
 
 
-def strictly_dominates(la: Partition, mu: Partition) -> bool:
-    return la != mu and dominates(la, mu)
-
-
-def lex_compare(la: Partition, mu: Partition) -> int:
-    """Lexicographic comparison: -1, 0 or 1.  Tuples of parts compare directly."""
-    return (la > mu) - (la < mu)
-
-
 def is_p_regular(la: Partition, p: int) -> bool:
     """No p equal positive parts: no part equals the part p - 1 rows below it."""
     _require_modulus(p)

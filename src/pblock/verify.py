@@ -1,7 +1,8 @@
 """Named verification sweeps over whole blocks, with pass/fail reporting.
 
-Every check is exhaustive over its stated domain and deterministic; a failing
-check always carries a concrete counterexample.
+Every check is exhaustive over its stated domain and deterministic; a check that
+finds its statement false carries a concrete counterexample, and one that raises
+anything else fails with the exception as its detail and no counterexample.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class CheckFailure(Exception):
 def _fail(la, message: str):
     text = format_partition(la) if isinstance(la, tuple) else str(la)
     raise CheckFailure(text, message)
+
+
+def _require_equal(got: set, expected: set, message: str) -> None:
+    """Fail on the least partition in one set but not the other, unless they are equal."""
+    if got != expected:
+        _fail(min(got ^ expected), message)
 
 
 def _N2(*runners) -> BeadNotation:
@@ -135,8 +142,7 @@ def check_jm_classification(p: int) -> str:
     block = _principal_table(p).members
     expected = {(3 * p,), (1,) * (3 * p)}
     passing = {la for la in block if _is_jm_fayers(la, p)}
-    if passing != expected:
-        _fail(sorted(passing ^ expected)[0], "quotient test passes off the expected pair")
+    _require_equal(passing, expected, "quotient test passes off the expected pair")
     return f"{len(block)} partitions; only the row and column pass"
 
 
@@ -199,26 +205,23 @@ def check_prop31(p: int) -> str:
     half = (p + 1) // 2
     sc_family = {from_3p(_N3(half, half), p)}
     sc_family |= {from_3p(_N3(p + 1 - m, half, m), p) for m in range(1, (p - 1) // 2 + 1)}
-    if sc != sc_family:
-        _fail(sorted(sc ^ sc_family)[0], "self-conjugate set differs from the symmetric forms")
+    _require_equal(sc, sc_family, "self-conjugate set differs from the symmetric forms")
     # (6) neither regular nor restricted: exactly <i,i>, equal to (p+i, 1^(2p-i)).
     for i in range(1, p + 1):
         la = from_3p(_N3(i, i), p)
         if la != (p + i,) + (1,) * (2 * p - i):
             _fail(la, f"<{i},{i}> is not the expected hook")
-    if neither != {from_3p(_N3(i, i), p) for i in range(1, p + 1)}:
-        _fail(sorted(neither)[0], "neither-regular-nor-restricted set is not the <i,i> family")
+    _require_equal(neither, {from_3p(_N3(i, i), p) for i in range(1, p + 1)},
+                   "neither-regular-nor-restricted set is not the <i,i> family")
     # (7) hooks.
     hooks_family = {from_3p(nota, p) for i in range(1, p + 1)
                     for nota in (_N3(i), _N3(i, i), _N3(i, i, i))}
-    if hooks != hooks_family:
-        _fail(sorted(hooks ^ hooks_family)[0], "hook set differs from the three bead shapes")
+    _require_equal(hooks, hooks_family, "hook set differs from the three bead shapes")
     # (8) regular, not restricted, not a hook.
     rnh_family = {from_3p(_N3(i, p), p) for i in range(1, p)}
     rnh_family |= {from_3p(_N3(i, j), p) for i in range(2, p + 1) for j in range(1, i)}
     rnh_family.add(from_3p(_N3(p, p - 1, p - 2), p))
-    if rnh != rnh_family:
-        _fail(sorted(rnh ^ rnh_family)[0], "regular-not-restricted non-hooks differ from the families")
+    _require_equal(rnh, rnh_family, "regular-not-restricted non-hooks differ from the families")
     return f"all eight clauses hold over {len(block)} partitions"
 
 
@@ -404,10 +407,8 @@ def check_loewy_partition(p: int) -> str:
         k += listed
         if (length == 4) != listed:
             stray = la
-    if small[1] != (extreme := {(3 * p,), (1,) * (3 * p)}):
-        _fail(sorted(small[1] ^ extreme)[0], "length-1 class is not the extreme pair")
-    if small[2] != length2.keys():
-        _fail(sorted(small[2] ^ length2.keys())[0], "length-2 class differs from its families")
+    _require_equal(small[1], {(3 * p,), (1,) * (3 * p)}, "length-1 class is not the extreme pair")
+    _require_equal(small[2], set(length2), "length-2 class differs from its families")
     for la, family in length2.items():
         if loewy_length_detail(la, p)[1] != f"length-2 family '{family}'":
             _fail(la, f"length-2 clause does not name the '{family}' family")
@@ -491,9 +492,10 @@ def run_checks(p: int, names=None) -> VerificationReport:
     for name in sorted(names):
         start = time.monotonic()
         try:
-            detail = CHECKS[name](p)
-            results.append(CheckResult(name, True, None, detail, time.monotonic() - start))
+            passed, counterexample, detail = True, None, CHECKS[name](p)
         except CheckFailure as failure:
-            results.append(CheckResult(name, False, failure.counterexample,
-                                       failure.message, time.monotonic() - start))
+            passed, counterexample, detail = False, failure.counterexample, failure.message
+        except Exception as exc:  # a check that crashes still gets a verdict
+            passed, counterexample, detail = False, None, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, counterexample, detail, time.monotonic() - start))
     return VerificationReport(p, tuple(results))

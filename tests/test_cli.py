@@ -77,8 +77,8 @@ def test_inspect_strips_each_p_rim_once_for_the_symbol(capsys, monkeypatch):
     # Three rims: three strips for the symbol, and three re-strips as the image is rebuilt.
     module = importlib.import_module("pblock.mullineux")  # pblock.mullineux is also the function
     calls = []
-    real = module.strip_p_rim
-    monkeypatch.setattr(module, "strip_p_rim", lambda la, p: calls.append(la) or real(la, p))
+    real = module._strip_p_rim
+    monkeypatch.setattr(module, "_strip_p_rim", lambda la, p: calls.append(la) or real(la, p))
     code, out, _ = run_cli(capsys, "inspect", "5,4,3,2,1", "--p", "5", "--json")
     assert code == 0
     record = json.loads(out)["results"][0]
@@ -249,3 +249,20 @@ def test_verify_failure_exit_code_and_counterexample(capsys, monkeypatch):
     entry = payload["results"][0]["checks"][0]
     assert entry["status"] == "fail"
     assert entry["counterexample"] == "3,1"
+
+
+def test_verify_reports_a_crashing_check_without_a_counterexample(capsys, monkeypatch):
+    def crashing(p):
+        raise KeyError("synthetic crash")
+
+    monkeypatch.setitem(CHECKS, "xi-sets", crashing)
+    code, out, _ = run_cli(capsys, "verify", "--p", "5", "--theorem", "xi-sets", "--json")
+    assert code == 1
+    entry = json.loads(out)["results"][0]["checks"][0]
+    assert (entry["status"], entry["counterexample"], entry["detail"]) == (
+        "fail", None, "KeyError: 'synthetic crash'")
+    assert '"counterexample": null' in out
+    code, out, _ = run_cli(capsys, "verify", "--p", "5", "--theorem", "xi-sets")
+    assert code == 1
+    assert "[FAIL] xi-sets" in out and "KeyError: 'synthetic crash'" in out
+    assert "counterexample" not in out

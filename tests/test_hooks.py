@@ -1,10 +1,9 @@
 from collections import Counter
 
-import pytest
 from hypothesis import given
 
 import pblock as pb
-from pblock.hooks import _is_jm_direct, format_diagram, p_adic_valuation
+from pblock.hooks import _is_jm_direct, _valuation, format_diagram
 from conftest import all_partitions_up_to, partitions
 
 
@@ -52,11 +51,9 @@ def test_hook_multiset_conjugation_invariant_exhaustive():
 
 
 def test_p_adic_valuation():
-    assert p_adic_valuation(10, 5) == 1
-    assert p_adic_valuation(50, 5) == 2
-    assert p_adic_valuation(7, 5) == 0
-    with pytest.raises(ValueError):
-        p_adic_valuation(0, 5)
+    assert _valuation(10, 5) == 1
+    assert _valuation(50, 5) == 2
+    assert _valuation(7, 5) == 0
 
 
 def test_p_power_diagram_worked_example():

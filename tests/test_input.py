@@ -8,8 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 import pblock as pb
-from pblock import abacus, blocks, hooks, partitions
-from pblock.mullineux import strip_p_rim
+from pblock import abacus, blocks, partitions
 
 
 @contextmanager
@@ -37,13 +36,11 @@ MODULUS_ENTRY_POINTS = {
     "rim_hook_leg_sum": abacus.rim_hook_leg_sum,
     "parity": pb.parity,
     "p_power_diagram": pb.p_power_diagram,
-    "p_adic_valuation": lambda la, p: hooks.p_adic_valuation(sum(la), p),
     "normal_nodes": pb.normal_nodes,
     "good_nodes": pb.good_nodes,
     "tau_p": pb.tau_p,
     "is_p_regular": pb.is_p_regular,
     "is_p_restricted": pb.is_p_restricted,
-    "strip_p_rim": strip_p_rim,
     "residue": pb.residue,  # (3, 1) read as a node
 }
 
@@ -89,6 +86,7 @@ CANONICAL_CASES = [
     (pb.sigma_partner, TOP, (5, 5)),
     (pb.check_good_node_compatibility, STAIRCASE, (5,)),
     (pb.mullineux, STAIRCASE, (5,)),
+    (pb.mullineux_symbol, STAIRCASE, (5,)),
     (pb.parity, STAIRCASE, (5,)),
     (pb.p_core, STAIRCASE, (5,)),
     (pb.p_quotient, STAIRCASE, (5,)),
@@ -149,6 +147,50 @@ def test_each_entry_point_canonicalises_its_partition_once(monkeypatch, entry, l
         monkeypatch.setattr(sys.modules[name], "partition", counting)
     entry(la, *args)
     assert len(seen) == calls, seen
+
+
+# Entry points whose kernels run once per p-rim or per hook, each with a small and a large
+# argument: a kernel that checked p again would call the rule more often for the large one.
+MODULUS_CALLS = [
+    (pb.mullineux_symbol, (1,), (9, 7, 5, 3, 1)),
+    (pb.mullineux, (1,), (9, 7, 5, 3, 1)),
+    (pb.partition_from_symbol, pb.mullineux_symbol((1,), 5), pb.mullineux_symbol((9, 7, 5, 3, 1), 5)),
+    (pb.is_jm_direct, (4,), (25,)),
+    (pb.p_power_diagram, (4,), (25,)),
+]
+
+
+@pytest.mark.parametrize("entry, small, large", MODULUS_CALLS,
+                         ids=[entry.__name__ for entry, *_ in MODULUS_CALLS])
+def test_each_entry_point_checks_its_modulus_once(monkeypatch, entry, small, large):
+    real, seen = partitions._require_modulus, []
+
+    def counting(p):
+        seen.append(p)
+        return real(p)
+
+    binders = [name for name, module in sorted(sys.modules.items())
+               if name.split(".")[0] == "pblock" and getattr(module, "_require_modulus", None) is real]
+    assert {"pblock.abacus", "pblock.blocks", "pblock.hooks", "pblock.partitions"} <= set(binders)
+    for name in binders:
+        monkeypatch.setattr(sys.modules[name], "_require_modulus", counting)
+    counts = []
+    for argument in (small, large):
+        seen.clear()
+        entry(argument, 5)
+        counts.append(len(seen))
+    assert counts[0] == counts[1] <= 1, counts
+
+
+@pytest.mark.parametrize("w", [-1, 2.5, True])
+def test_enumeration_rejects_a_weight_that_is_not_an_int_at_least_0(w):
+    message = f"block weight must be an integer at least 0, got {w}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pb.enumerate_block(blocks.BlockLabel(5, (2, 1), w))
+
+
+def test_enumeration_of_weight_0_is_the_core():
+    assert pb.enumerate_block(blocks.BlockLabel(5, (2, 1), 0)) == ((2, 1),)
 
 
 def test_hook_lengths_reject_a_non_partition():

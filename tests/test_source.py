@@ -29,11 +29,12 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
-# One message per rule for p, for a block index i and for a bead count r; each must be
-# raised from exactly one place.
+# One message per rule for p, for a block index i, for a bead count r and for a block
+# weight; each must be raised from exactly one place.
 P_RULES = ("p must be an integer at least 2, got", "the test needs an odd prime p",
            "p must be a prime, got", "p must be a prime at least 5, got",
-           "out of range for p=", "bead count must be an integer at least")
+           "out of range for p=", "bead count must be an integer at least",
+           "block weight must be an integer at least 0, got")
 
 
 def test_each_rule_for_p_is_raised_from_one_place():

@@ -315,3 +315,27 @@ def test_run_checks_applies_the_block_rule_before_any_check(monkeypatch, names):
         with pytest.raises(ValueError, match=f"p must be a prime at least 5, got {p}"):
             run_checks(p, names)
     assert ran == []
+
+
+def test_a_check_that_crashes_still_gets_a_verdict(monkeypatch, fresh_table):
+    # Without the + 1, a flipped symbol names no partition, so rebuilding an image raises.
+    monkeypatch.setattr(mullineux_module, "_flipped", lambda sizes, rows, p: (
+        sizes, tuple([a - r for a, r in zip(sizes, rows)])))
+    checks = run_checks(5).checks
+    assert [c.name for c in checks] == sorted(verify.CHECKS)
+    assert {c.name for c in checks if c.passed} == {"oracle-equivalence", "xi-sets"}
+    for check in checks:
+        if not check.passed:
+            assert check.counterexample is None, check
+            assert check.detail.startswith("ValueError: no unique p-rim addition for"), check
+
+
+def test_prop31_fails_when_the_neither_class_is_empty(monkeypatch):
+    # Marking the <i,i> hooks regular empties the neither-regular-nor-restricted set;
+    # the least <i,i> hook is named, not an IndexError out of run_checks.
+    family = {pb.from_3p(pb.BeadNotation(3, (i, i)), 5) for i in range(1, 6)}
+    real = verify.classify_3p
+    monkeypatch.setattr(verify, "classify_3p", lambda la, p: (
+        {**real(la, p), "p_regular": True} if la in family else real(la, p)))
+    assert _failure("prop31") == (pb.format_partition(min(family)),
+                                  "neither-regular-nor-restricted set is not the <i,i> family")
